@@ -156,6 +156,8 @@ def pack_skew_triu(g: SkewGenerators) -> list:
 
 def unpack_skew_triu(packed: Sequence[Sequence[float]], sizes: Sequence[int]) -> SkewGenerators:
     """Inverse of pack_skew_triu up to the skew projection A - A^T."""
+    if len(packed) != len(sizes):
+        raise ValueError(f"expected {len(sizes)} packed generators, got {len(packed)}")
     gens = []
     for vals, b in zip(packed, sizes):
         a = np.zeros((b, b))

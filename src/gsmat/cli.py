@@ -40,7 +40,11 @@ EXIT_TOLERANCE = 4
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("GS_SEED", "0"))
+    value = os.environ.get("GS_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"GS_SEED must be an integer, got {value!r}") from None
 
 
 def _interior_perms(kind: str, b: int, r: int, m: int, seed: int):
@@ -91,7 +95,7 @@ def cmd_project(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = GSClassSpec.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ContainerError(f"cannot read spec: {exc}") from exc
     if a.shape != (spec.m, spec.n):
         print(f"error: input shape {a.shape} does not match spec {(spec.m, spec.n)}", file=sys.stderr)
@@ -278,9 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ContainerError as exc:
         print(f"error: {exc}", file=sys.stderr)

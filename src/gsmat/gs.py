@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockdiag import BlockDiagonal
-from .perm import Permutation, identity_perm, perm_cols, perm_cols_t, perm_rows, perm_rows_t, stride_perm
+from .perm import Permutation, identity_perm, perm_cols, perm_cols_t, stride_perm
 
 __all__ = [
     "GSClassSpec",
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _SVD_SIZE_CAP = 256
+_SIZES = ("k_L", "b_L1", "b_L2", "k_R", "b_R1", "b_R2")
+_PERMS = ("P_L", "P", "P_R")
 
 
 @dataclass(frozen=True)
@@ -77,27 +79,28 @@ class GSClassSpec:
             P_R if P_R is not None else identity_perm(b_R2 * k_R),
         )
 
+    def to_dict(self) -> dict:
+        """The JSON encoding: six sizes, then each permutation as Permutation.to_dict."""
+        return {**{k: getattr(self, k) for k in _SIZES}, **{k: getattr(self, k).to_dict() for k in _PERMS}}
+
     def to_json(self) -> str:
-        doc = {
-            "k_L": self.k_L, "b_L1": self.b_L1, "b_L2": self.b_L2,
-            "k_R": self.k_R, "b_R1": self.b_R1, "b_R2": self.b_R2,
-            "P_L": {"n": self.P_L.n, "sigma": self.P_L.sigma.tolist()},
-            "P": {"n": self.P.n, "sigma": self.P.sigma.tolist()},
-            "P_R": {"n": self.P_R.n, "sigma": self.P_R.sigma.tolist()},
-        }
-        return json.dumps(doc)
+        return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_dict(cls, doc) -> "GSClassSpec":
+        """Inverse of to_dict; raises ValueError for any malformed document."""
+        try:
+            sizes = [doc[k] for k in _SIZES]
+            perms = [Permutation.from_dict(doc[k]) for k in _PERMS]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"GS class spec JSON: missing or mistyped field {exc}") from exc
+        if any(type(v) is not int for v in sizes):
+            raise ValueError(f"GS class spec JSON: {', '.join(_SIZES)} must be integers")
+        return cls(*sizes, *perms)
 
     @classmethod
     def from_json(cls, text: str) -> "GSClassSpec":
-        doc = json.loads(text)
-        perms = {}
-        for name in ("P_L", "P", "P_R"):
-            perms[name] = Permutation(np.asarray(doc[name]["sigma"], dtype=np.int64))
-        return cls(
-            doc["k_L"], doc["b_L1"], doc["b_L2"],
-            doc["k_R"], doc["b_R1"], doc["b_R2"],
-            perms["P_L"], perms["P"], perms["P_R"],
-        )
+        return cls.from_dict(json.loads(text))
 
 
 def gsoft_spec(d: int, b: int) -> GSClassSpec:
@@ -151,8 +154,8 @@ class GSMatrix:
         return self.spec.P_R.apply_inverse(t)
 
     def as_dense(self) -> np.ndarray:
-        core = self.L.as_dense() @ perm_rows(self.spec.P, self.R.as_dense())
-        return perm_cols(self.spec.P_R, perm_rows(self.spec.P_L, core))
+        core = self.L.as_dense() @ self.spec.P.apply(self.R.as_dense())
+        return perm_cols(self.spec.P_R, self.spec.P_L.apply(core))
 
 
 def _routing(spec: GSClassSpec) -> dict:
@@ -231,7 +234,7 @@ def project(a: np.ndarray, spec: GSClassSpec) -> GSMatrix:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (spec.m, spec.n):
         raise ValueError(f"shape mismatch: expected {(spec.m, spec.n)}, got {a.shape}")
-    core = perm_cols_t(spec.P_R, perm_rows_t(spec.P_L, a))
+    core = perm_cols_t(spec.P_R, spec.P_L.apply_inverse(a))
     l_blocks = [np.zeros((spec.b_L1, spec.b_L2)) for _ in range(spec.k_L)]
     r_blocks = [np.zeros((spec.b_R1, spec.b_R2)) for _ in range(spec.k_R)]
     sigma = spec.P.sigma

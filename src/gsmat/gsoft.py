@@ -203,7 +203,7 @@ def save_adapter(a: GSOFTAdapter, path: str) -> None:
     doc = {
         "format": "GSOFT1",
         "w0_sha256": _w0_hash(a.W0),
-        "spec": json.loads(a.q.spec.to_json()),
+        "spec": a.q.spec.to_dict(),
         "gen_L_triu": pack_skew_triu(a.q.gen_L),
         "gen_R_triu": pack_skew_triu(a.q.gen_R),
         "scale": a.scale,
@@ -213,15 +213,18 @@ def save_adapter(a: GSOFTAdapter, path: str) -> None:
 
 
 def load_adapter(path: str, w0: np.ndarray) -> GSOFTAdapter:
-    """Restore a checkpoint, verifying W0 against the stored hash."""
+    """Restore a checkpoint, verifying W0 against the stored hash; ValueError when malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "GSOFT1":
+    if not isinstance(doc, dict) or doc.get("format") != "GSOFT1":
         raise ValueError("not a GSOFT checkpoint (bad format field)")
     w0 = np.asarray(w0, dtype=np.float64)
-    if _w0_hash(w0) != doc["w0_sha256"]:
-        raise ValueError("base weight does not match the checkpointed W0 hash")
-    spec = GSClassSpec.from_json(json.dumps(doc["spec"]))
-    gen_l = unpack_skew_triu(doc["gen_L_triu"], [spec.b_L1] * spec.k_L)
-    gen_r = unpack_skew_triu(doc["gen_R_triu"], [spec.b_R1] * spec.k_R)
-    return GSOFTAdapter(w0, OrthoGSParams(spec, gen_l, gen_r), doc["scale"])
+    try:
+        if _w0_hash(w0) != doc["w0_sha256"]:
+            raise ValueError("base weight does not match the checkpointed W0 hash")
+        spec = GSClassSpec.from_dict(doc["spec"])
+        gen_l = unpack_skew_triu(doc["gen_L_triu"], [spec.b_L1] * spec.k_L)
+        gen_r = unpack_skew_triu(doc["gen_R_triu"], [spec.b_R1] * spec.k_R)
+        return GSOFTAdapter(w0, OrthoGSParams(spec, gen_l, gen_r), doc["scale"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"GSOFT checkpoint: missing or mistyped field {exc}") from exc

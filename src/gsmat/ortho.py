@@ -14,7 +14,7 @@ import numpy as np
 
 from .blockdiag import BlockDiagonal, SkewGenerators, cayley_blockdiag, cayley_vjp
 from .gs import GSClassSpec, GSMatrix, to_block_lowrank, _routing
-from .perm import perm_cols, perm_cols_t, perm_rows, perm_rows_t
+from .perm import perm_cols, perm_cols_t
 
 __all__ = [
     "OrthoGSParams",
@@ -73,9 +73,9 @@ def materialize_vjp(p: OrthoGSParams, grad_q: np.ndarray):
         raise ValueError(f"shape mismatch: expected {(sp.m, sp.n)}, got {grad_q.shape}")
     ld = cayley_blockdiag(p.gen_L).as_dense()
     rd = cayley_blockdiag(p.gen_R).as_dense()
-    prpr = perm_cols(sp.P_R, perm_rows(sp.P, rd))
-    pllp = perm_cols(sp.P, perm_rows(sp.P_L, ld))
-    g_l = perm_rows_t(sp.P_L, grad_q) @ prpr.T
+    prpr = perm_cols(sp.P_R, sp.P.apply(rd))
+    pllp = perm_cols(sp.P, sp.P_L.apply(ld))
+    g_l = sp.P_L.apply_inverse(grad_q) @ prpr.T
     g_r = pllp.T @ perm_cols_t(sp.P_R, grad_q)
     b_l, b_r = sp.b_L1, sp.b_R1
     grads_l = [

@@ -17,8 +17,6 @@ __all__ = [
     "identity_perm",
     "stride_perm",
     "paired_stride_perm",
-    "perm_rows",
-    "perm_rows_t",
     "perm_cols",
     "perm_cols_t",
 ]
@@ -31,7 +29,10 @@ class Permutation:
     sigma: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.int64)
+        sigma = np.asarray(self.sigma)
+        if sigma.size and sigma.dtype.kind not in "iu":
+            raise ValueError(f"sigma must hold integers, got dtype {sigma.dtype}")
+        sigma = sigma.astype(np.int64, copy=False)
         object.__setattr__(self, "sigma", sigma)
         if sigma.ndim != 1 or not np.array_equal(np.sort(sigma), np.arange(sigma.size)):
             raise ValueError("sigma is not a bijection on {0..n-1}")
@@ -73,16 +74,27 @@ class Permutation:
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.sigma, np.arange(self.n)))
 
+    def to_dict(self) -> dict:
+        """The JSON encoding {"n": n, "sigma": [...]}."""
+        return {"n": self.n, "sigma": self.sigma.tolist()}
+
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "sigma": self.sigma.tolist()})
+        return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_dict(cls, doc) -> "Permutation":
+        """Inverse of to_dict; raises ValueError for any malformed document."""
+        try:
+            p, n = cls(doc["sigma"]), doc["n"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"permutation JSON: missing or mistyped field {exc}") from exc
+        if type(n) is not int or p.n != n:
+            raise ValueError("permutation JSON: n does not match sigma length")
+        return p
 
     @classmethod
     def from_json(cls, text: str) -> "Permutation":
-        doc = json.loads(text)
-        p = cls(np.asarray(doc["sigma"], dtype=np.int64))
-        if p.n != doc["n"]:
-            raise ValueError("permutation JSON: n does not match sigma length")
-        return p
+        return cls.from_dict(json.loads(text))
 
 
 def identity_perm(n: int) -> Permutation:
@@ -107,16 +119,6 @@ def paired_stride_perm(k: int, n: int) -> Permutation:
         raise ValueError(f"paired_stride_perm requires 2k | n, got k={k}, n={n}")
     i = np.arange(n)
     return Permutation((i // 2 % k) * (n // k) + 2 * (i // (2 * k)) + i % 2)
-
-
-def perm_rows(p: Permutation, m: np.ndarray) -> np.ndarray:
-    """P @ M."""
-    return p.apply(m)
-
-
-def perm_rows_t(p: Permutation, m: np.ndarray) -> np.ndarray:
-    """P^T @ M."""
-    return p.apply_inverse(m)
 
 
 def perm_cols(p: Permutation, m: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsmat import ContainerError, GSClassSpec, GSMatrix, load_container, save_container
 from gsmat.blockdiag import BlockDiagonal
@@ -23,8 +26,7 @@ def _sha(path):
 # ---------------------------------------------------------------- container
 
 
-def test_container_roundtrip_all_kinds(tmp_path):
-    rng = np.random.default_rng(0)
+def _objects_of_each_kind(rng):
     spec = random_spec(rng)
     gsm = random_member(spec, rng)
     chain = GSChain(
@@ -34,14 +36,17 @@ def test_container_roundtrip_all_kinds(tmp_path):
         ),
         random_perm(6, rng),
     )
-    objects = {
+    return {
         "dense": rng.standard_normal((5, 7)),
         "perm": random_perm(9, rng),
         "blockdiag": BlockDiagonal(tuple(rng.standard_normal((2, 3)) for _ in range(4))),
         "gs": gsm,
         "chain": chain,
     }
-    for name, obj in objects.items():
+
+
+def test_container_roundtrip_all_kinds(tmp_path):
+    for name, obj in _objects_of_each_kind(np.random.default_rng(0)).items():
         p1 = str(tmp_path / f"{name}_1.gsm")
         p2 = str(tmp_path / f"{name}_2.gsm")
         save_container(obj, p1)
@@ -83,6 +88,97 @@ def test_container_rejects_garbage(tmp_path):
         load_container(str(trunc))
     with pytest.raises(ContainerError):
         load_container(str(tmp_path / "missing.gsm"))
+
+
+def _gsm1(header, payload=b"", header_overrun=0):
+    raw = json.dumps({"format": "GSM1", "dtype": "f64le", **header}).encode()
+    return b"GSM1" + (len(raw) + header_overrun).to_bytes(4, "little") + raw + payload
+
+
+def _dense_bytes(n):
+    return np.arange(n, dtype="<f8").tobytes()
+
+
+MALFORMED_CONTAINERS = {
+    "six-bytes": b"GSM1\x10\x00",
+    "header-past-eof": _gsm1({"kind": "permutation", "shape": [1, 1], "sigma": [0]}, header_overrun=1),
+    "list-header": b"GSM1\x02\x00\x00\x00[]",
+    "fractional-shape": _gsm1({"kind": "dense", "shape": [1.5, 2]}, _dense_bytes(3)),
+    "negative-shape": _gsm1({"kind": "dense", "shape": [-1, 2]}),
+    "string-shape": _gsm1({"kind": "dense", "shape": "ab"}),
+    "trailing-bytes": _gsm1({"kind": "dense", "shape": [2, 2]}, _dense_bytes(5)),
+    "perm-with-payload": _gsm1({"kind": "permutation", "shape": [2, 2], "sigma": [1, 0]}, _dense_bytes(1)),
+    "fractional-sigma": _gsm1({"kind": "permutation", "shape": [2, 2], "sigma": [0.5, 1]}),
+    "blockdiag-shape-mismatch": _gsm1(
+        {"kind": "blockdiag", "shape": [5, 5], "block_shapes": [[1, 1]]}, _dense_bytes(1)
+    ),
+    "chain-factor-not-object": _gsm1({"kind": "chain", "shape": [1, 1], "factors": [3], "p_out": [0]}),
+    "gs-spec-perm-n": _gsm1(
+        {
+            "kind": "gs",
+            "shape": [1, 1],
+            "spec": {
+                **dict.fromkeys(["k_L", "b_L1", "b_L2", "k_R", "b_R1", "b_R2"], 1),
+                **{k: {"n": 99 if k == "P" else 1, "sigma": [0]} for k in ("P_L", "P", "P_R")},
+            },
+        },
+        _dense_bytes(2),
+    ),
+}
+
+
+@pytest.mark.parametrize("blob", MALFORMED_CONTAINERS.values(), ids=MALFORMED_CONTAINERS.keys())
+def test_container_rejects_malformed(capsys, tmp_path, blob):
+    bad = tmp_path / "bad.gsm"
+    bad.write_bytes(blob)
+    with pytest.raises(ContainerError):
+        load_container(str(bad))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(GSClassSpec.make(1, 2, 1, 1, 1, 2).to_json())
+    code, _, err = _run(
+        capsys, ["project", "--input", str(bad), "--spec", str(spec_path), "--output", str(tmp_path / "o.gsm")]
+    )
+    assert code == EXIT_IO and "error" in err
+
+
+def _valid_container_bytes():
+    with tempfile.TemporaryDirectory() as d:
+        out = []
+        for name, obj in _objects_of_each_kind(np.random.default_rng(1)).items():
+            save_container(obj, f"{d}/{name}.gsm")
+            out.append(Path(f"{d}/{name}.gsm").read_bytes())
+        return out
+
+
+_VALID_CONTAINERS = _valid_container_bytes()
+
+
+@st.composite
+def _container_inputs(draw):
+    valid = draw(st.sampled_from(_VALID_CONTAINERS))
+    pos = draw(st.integers(0, len(valid) - 1))
+    return draw(
+        st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=64).map(lambda tail: b"GSM1" + tail),
+            st.just(valid[:pos]),
+            st.binary(min_size=1, max_size=16).map(lambda tail: valid + tail),
+            st.integers(0, 255).map(lambda byte: valid[:pos] + bytes([byte]) + valid[pos + 1 :]),
+        )
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_container_inputs())
+def test_load_container_yields_object_or_container_error(blob):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "x.gsm"
+        path.write_bytes(blob)
+        try:
+            obj = load_container(str(path))
+        except ContainerError:
+            return
+    assert isinstance(obj, (np.ndarray, Permutation, BlockDiagonal, GSMatrix, GSChain))
 
 
 # ---------------------------------------------------------------------- CLI
@@ -147,6 +243,29 @@ def test_project_roundtrip(capsys, tmp_path):
     np.testing.assert_allclose(loaded.as_dense(), member.as_dense(), atol=1e-10)
 
 
+MALFORMED_SPECS = {
+    "json-list": lambda doc: [1, 2, 3],
+    "string-k_L": lambda doc: {**doc, "k_L": "4"},
+    "null-sigma": lambda doc: {**doc, "P": {"n": 8, "sigma": None}},
+    "perm-n-mismatch": lambda doc: {**doc, "P": {**doc["P"], "n": 99}},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_project_rejects_malformed_spec(capsys, tmp_path, edit):
+    text = json.dumps(edit(json.loads(GSClassSpec.make(4, 2, 2, 4, 2, 2).to_json())))
+    with pytest.raises(ValueError):
+        GSClassSpec.from_json(text)
+    inp = str(tmp_path / "a.gsm")
+    save_container(np.zeros((8, 8)), inp)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    code, _, err = _run(
+        capsys, ["project", "--input", inp, "--spec", str(spec_path), "--output", str(tmp_path / "b.gsm")]
+    )
+    assert code == EXIT_IO and "spec" in err
+
+
 def test_bench_emits_csv(capsys):
     code, out, _ = _run(capsys, ["bench", "--d", "16", "--b", "4", "--m", "2", "--reps", "3"])
     assert code == EXIT_OK
@@ -177,6 +296,13 @@ def test_exit_code_usage(capsys):
     code, _, err = _run(capsys, ["density", "--b", "1", "--r", "4", "--m", "2"])
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+def test_non_integer_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GS_SEED", "abc")
+    code, _, err = _run(capsys, ["info"])
+    assert code == EXIT_USAGE
+    assert "GS_SEED" in err
 
 
 def test_exit_code_io(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Orthogonal fine-tuning adapters: forward, merge, gradients, trainer, I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,29 @@ def test_checkpoint_rejects_wrong_base_weight(tmp_path):
     save_adapter(a, path)
     with pytest.raises(ValueError, match="hash"):
         load_adapter(path, a.W0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("scale"),
+        lambda doc: doc.pop("spec"),
+        lambda doc: doc.update(scale="1.7"),
+        lambda doc: doc["gen_L_triu"].append([0.0]),
+        lambda doc: doc["spec"]["P"].update(n=99),
+    ],
+    ids=["missing-scale", "missing-spec", "string-scale", "extra-generator", "perm-n"],
+)
+def test_checkpoint_rejects_malformed(tmp_path, edit):
+    rng = np.random.default_rng(6)
+    a = _random_adapter(8, 2, rng)
+    path = tmp_path / "adapter.json"
+    save_adapter(a, str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_adapter(str(path), a.W0)
 
 
 def test_adapter_validation():

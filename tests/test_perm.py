@@ -8,8 +8,6 @@ from gsmat.perm import (
     paired_stride_perm,
     perm_cols,
     perm_cols_t,
-    perm_rows,
-    perm_rows_t,
     stride_perm,
 )
 
@@ -136,8 +134,8 @@ def test_matrix_helpers_match_dense_products():
     p = Permutation(rng.permutation(6))
     m = rng.standard_normal((6, 6))
     d = p.as_dense()
-    np.testing.assert_allclose(perm_rows(p, m), d @ m)
-    np.testing.assert_allclose(perm_rows_t(p, m), d.T @ m)
+    np.testing.assert_allclose(p.apply(m), d @ m)
+    np.testing.assert_allclose(p.apply_inverse(m), d.T @ m)
     np.testing.assert_allclose(perm_cols(p, m), m @ d)
     np.testing.assert_allclose(perm_cols_t(p, m), m @ d.T)
 
@@ -146,3 +144,18 @@ def test_json_roundtrip():
     p = stride_perm(3, 12)
     q = Permutation.from_json(p.to_json())
     assert q.sigma.tolist() == p.sigma.tolist()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[0, 1]",
+        '{"n": 2}',
+        '{"n": 2, "sigma": null}',
+        '{"n": 3, "sigma": [1, 0]}',
+        '{"n": 2, "sigma": [0.5, 1]}',
+    ],
+)
+def test_json_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        Permutation.from_json(text)
