@@ -8,6 +8,8 @@ generators A with K = A - A^T, so gradients flow through skew projection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -28,12 +30,16 @@ class BlockDiagonal:
     """Ordered dense blocks along the diagonal; immutable."""
 
     blocks: tuple = field(repr=False)
+    # Maximal runs of consecutive equal-shape blocks, each one (k, b1, b2) stack.
+    _runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=np.float64) for b in self.blocks)
-        if not blocks or any(b.ndim != 2 for b in blocks):
+        blocks = [np.asarray(b, dtype=np.float64) for b in self.blocks]
+        runs = [np.array(list(run)) for _, run in groupby(blocks, key=attrgetter("shape"))]
+        if not runs or any(run.ndim != 3 for run in runs):
             raise ValueError("blocks must be a nonempty sequence of 2-D arrays")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_runs", tuple(runs))
+        object.__setattr__(self, "blocks", tuple(chain.from_iterable(runs)))
 
     @classmethod
     def identity(cls, sizes: Sequence[int]) -> "BlockDiagonal":
@@ -59,21 +65,26 @@ class BlockDiagonal:
         """Blockwise matvec (or matmat on the leading axis)."""
         if x.shape[0] != self.cols:
             raise ValueError(f"length mismatch: expected {self.cols}, got {x.shape[0]}")
-        out, lo = [], 0
-        for b in self.blocks:
-            out.append(b @ x[lo : lo + b.shape[1]])
-            lo += b.shape[1]
-        return np.concatenate(out)
+        return self._product(x, transpose=False)
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Transposed blockwise matvec."""
         if x.shape[0] != self.rows:
             raise ValueError(f"length mismatch: expected {self.rows}, got {x.shape[0]}")
+        return self._product(x, transpose=True)
+
+    def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """One batched matmul per run: (k, b1, b2) @ (k, b2, width) on x's slice."""
+        width = int(np.prod(x.shape[1:], dtype=np.int64))
         out, lo = [], 0
-        for b in self.blocks:
-            out.append(b.T @ x[lo : lo + b.shape[0]])
-            lo += b.shape[0]
-        return np.concatenate(out)
+        for run in self._runs:
+            if transpose:
+                run = run.transpose(0, 2, 1)
+            k, b1, b2 = run.shape
+            y = run @ x[lo : lo + k * b2].reshape(k, b2, width)
+            out.append(y.reshape(k * b1, *x.shape[1:]))
+            lo += k * b2
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def transpose(self) -> "BlockDiagonal":
         return BlockDiagonal(tuple(b.T for b in self.blocks))

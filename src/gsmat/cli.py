@@ -47,6 +47,29 @@ def _default_seed() -> int:
         raise ValueError(f"GS_SEED must be an integer, got {value!r}") from None
 
 
+def _checked(parse, ok, expected: str):
+    """argparse type that parses the text and requires ok(value).
+
+    A rejected value makes argparse exit 2 with "argument --flag: expected ...".
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _checked(float, lambda v: 0 < v < float("inf"), "a finite positive number")
+_tolerance = _checked(float, lambda v: 0 <= v < float("inf"), "a finite nonnegative number")
+
+
 def _interior_perms(kind: str, b: int, r: int, m: int, seed: int):
     d = b * r
     if kind == "stride":
@@ -229,18 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="support-mask density report for a chain class (JSON)")
-    p.add_argument("--b", type=int, required=True, help="block size")
-    p.add_argument("--r", type=int, required=True, help="block count")
-    p.add_argument("--m", type=int, required=True, help="number of factors")
+    p.add_argument("--b", type=_positive_int, required=True, help="block size")
+    p.add_argument("--r", type=_positive_int, required=True, help="block count")
+    p.add_argument("--m", type=_positive_int, required=True, help="number of factors")
     p.add_argument("--perm", choices=["stride", "random"], default="stride")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("count", help="parameter/FLOP accounting (JSON)")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--b", type=_positive_int, required=True)
+    p.add_argument("--r", type=_positive_int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--batch", type=_positive_int, default=1)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("project", help="project a dense matrix onto a GS class")
@@ -250,29 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("bench", help="CSV apply benchmark: gs chain vs dense")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--reps", type=int, default=50)
+    p.add_argument("--d", type=_positive_int, required=True)
+    p.add_argument("--b", type=_positive_int, required=True)
+    p.add_argument("--m", type=_positive_int, default=2)
+    p.add_argument("--reps", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("demo-gsoft", help="fit a structured orthogonal target (JSON report)")
-    p.add_argument("--d", type=int, default=16)
-    p.add_argument("--b", type=int, default=4)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--d", type=_positive_int, default=16)
+    p.add_argument("--b", type=_positive_int, default=4)
+    p.add_argument("--steps", type=_positive_int, default=2000)
+    p.add_argument("--lr", type=_positive_float, default=0.05)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tol", type=float, default=None, help="exit 4 if final loss exceeds this")
+    p.add_argument("--tol", type=_tolerance, default=None, help="exit 4 if final loss exceeds this")
     p.set_defaults(func=cmd_demo_gsoft)
 
     p = sub.add_parser("demo-conv", help="orthogonality of a GS conv layer Jacobian (JSON report)")
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--groups", type=int, default=4)
-    p.add_argument("--terms", type=int, default=20)
-    p.add_argument("--size", type=int, default=4, help="spatial side length")
+    p.add_argument("--channels", type=_positive_int, default=8)
+    p.add_argument("--groups", type=_positive_int, default=4)
+    p.add_argument("--terms", type=_positive_int, default=20)
+    p.add_argument("--size", type=_positive_int, default=4, help="spatial side length")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tol", type=float, default=None, help="exit 4 if the residual exceeds this")
+    p.add_argument("--tol", type=_tolerance, default=None, help="exit 4 if the residual exceeds this")
     p.set_defaults(func=cmd_demo_conv)
 
     p = sub.add_parser("info", help="version, formats and exit codes (JSON)")

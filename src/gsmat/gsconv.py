@@ -47,16 +47,9 @@ class ConvKernel:
         object.__setattr__(self, "weights", w)
         if w.ndim != 4:
             raise ValueError("kernel must be 4-D (c_out, c_in, k_h, k_w)")
-        c_out, c_in = w.shape[:2]
-        if self.groups < 1 or c_out % self.groups or c_in % self.groups:
-            raise ValueError(
-                f"groups={self.groups} must divide both channel counts ({c_out}, {c_in})"
-            )
-        go, gi = c_out // self.groups, c_in // self.groups
-        for a in range(self.groups):
-            for b in range(self.groups):
-                if a != b and np.any(w[a * go : (a + 1) * go, b * gi : (b + 1) * gi]):
-                    raise ValueError("cross-group kernel entries must be zero")
+        pairs = _group_view(w, self.groups).transpose(0, 2, 1, 3, 4, 5)  # [out group, in group]
+        if np.any(pairs[~np.eye(self.groups, dtype=bool)]):
+            raise ValueError("cross-group kernel entries must be zero")
 
     @property
     def c_out(self) -> int:
@@ -71,13 +64,18 @@ class ConvKernel:
         return self.weights.shape[2], self.weights.shape[3]
 
 
+def _group_view(w: np.ndarray, groups: int) -> np.ndarray:
+    """(c_out, c_in, kh, kw) weights viewed as (g, c_out/g, g, c_in/g, kh, kw)."""
+    c_out, c_in, kh, kw = w.shape
+    if groups < 1 or c_out % groups or c_in % groups:
+        raise ValueError(f"groups={groups} must divide both channel counts ({c_out}, {c_in})")
+    return w.reshape(groups, c_out // groups, groups, c_in // groups, kh, kw)
+
+
 def random_grouped_kernel(c_out, c_in, k, groups, rng, scale=1.0) -> ConvKernel:
     w = scale * rng.standard_normal((c_out, c_in, k, k))
-    go, gi = c_out // groups, c_in // groups
-    mask = np.zeros((c_out, c_in, 1, 1))
-    for g in range(groups):
-        mask[g * go : (g + 1) * go, g * gi : (g + 1) * gi] = 1.0
-    return ConvKernel(w * mask, groups)
+    masked = _group_view(w, groups) * np.eye(groups)[:, None, :, None, None, None]
+    return ConvKernel(masked.reshape(w.shape), groups)
 
 
 def grouped_conv(kernel: ConvKernel, x: np.ndarray) -> np.ndarray:
@@ -90,14 +88,17 @@ def grouped_conv(kernel: ConvKernel, x: np.ndarray) -> np.ndarray:
         raise ValueError("kernel sides must be odd")
     ph, pw = kh // 2, kw // 2
     _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    y = np.zeros((kernel.c_out, h, w))
+    g, gi = kernel.groups, kernel.c_in // kernel.groups
+    # Diagonal group blocks, tap-major: taps[dy, dx] is (g, c_out/g, c_in/g).
+    diag = np.arange(g)
+    taps = np.ascontiguousarray(_group_view(kernel.weights, g)[diag, :, diag].transpose(3, 4, 0, 1, 2))
+    xp = np.zeros((g, gi, h + 2 * ph, w + 2 * pw))
+    xp[:, :, ph : ph + h, pw : pw + w] = x.reshape(g, gi, h, w)
+    y = np.zeros((g, kernel.c_out // g, h * w))
     for dy in range(kh):
         for dx in range(kw):
-            y += np.einsum(
-                "oi,ihw->ohw", kernel.weights[:, :, dy, dx], xp[:, dy : dy + h, dx : dx + w]
-            )
-    return y
+            y += taps[dy, dx] @ xp[:, :, dy : dy + h, dx : dx + w].reshape(g, gi, h * w)
+    return y.reshape(kernel.c_out, h, w)
 
 
 def conv_as_matrix(kernel: ConvKernel, h: int, w: int) -> np.ndarray:

@@ -42,8 +42,8 @@ class GSOFTAdapter:
             raise ValueError(
                 f"W0 rows ({w.shape[0]}) must match the adapter dimension {self.q.spec.m}"
             )
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     @classmethod
     def init(cls, w0: np.ndarray, b: int) -> "GSOFTAdapter":
@@ -90,8 +90,8 @@ class DoubleGSOFTAdapter:
             raise ValueError(
                 f"W0 shape {w.shape} must match ({self.q_U.spec.m}, {self.q_V.spec.m})"
             )
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     @classmethod
     def init(cls, w0: np.ndarray, b_u: int, b_v: int) -> "DoubleGSOFTAdapter":
@@ -137,6 +137,25 @@ def _update_gens(g: SkewGenerators, grads, lr: float) -> SkewGenerators:
     return SkewGenerators(tuple(a - lr * d for a, d in zip(g.gens, grads)))
 
 
+def _descend(theta, q_of, step, target: np.ndarray, steps: int):
+    """Gradient descent on ||Q - target||_F^2 with Q = q_of(theta).
+
+    step(theta, G) takes one descent step given the loss gradient G at Q.
+    Returns (theta, losses, orthogonality residuals); raises on divergence.
+    """
+    losses, residuals = [], []
+    for _ in range(steps):
+        q = q_of(theta)
+        diff = q - target
+        loss = float(np.sum(diff * diff))
+        if not np.isfinite(loss):
+            raise RuntimeError("training diverged (loss is not finite); try a smaller lr")
+        losses.append(loss)
+        residuals.append(is_orthogonal(q, np.inf)[1])
+        theta = step(theta, 2.0 * diff)
+    return theta, losses, residuals
+
+
 def fit_orthogonal_target(spec: GSClassSpec, target: np.ndarray, steps: int, lr: float):
     """Gradient descent on ||Q(theta) - target||_F^2 from identity init.
 
@@ -148,23 +167,16 @@ def fit_orthogonal_target(spec: GSClassSpec, target: np.ndarray, steps: int, lr:
     ok, residual = is_orthogonal(target, 1e-8)
     if not ok:
         raise ValueError(f"target is not orthogonal: ||T^T T - I||_F = {residual:.3e}")
-    params = OrthoGSParams.zeros(spec)
-    losses, residuals = [], []
-    for _ in range(steps):
-        q = materialize(params).as_dense()
-        diff = q - target
-        loss = float(np.sum(diff * diff))
-        if not np.isfinite(loss):
-            raise RuntimeError("training diverged (loss is not finite); try a smaller lr")
-        losses.append(loss)
-        residuals.append(is_orthogonal(q, np.inf)[1])
-        grads_l, grads_r = materialize_vjp(params, 2.0 * diff)
-        params = replace(
+
+    def step(params, grad_q):
+        grads_l, grads_r = materialize_vjp(params, grad_q)
+        return replace(
             params,
             gen_L=_update_gens(params.gen_L, grads_l, lr),
             gen_R=_update_gens(params.gen_R, grads_r, lr),
         )
-    return params, losses, residuals
+
+    return _descend(OrthoGSParams.zeros(spec), lambda p: materialize(p).as_dense(), step, target, steps)
 
 
 def fit_blockdiag_target(d: int, b: int, target: np.ndarray, steps: int, lr: float):
@@ -176,21 +188,16 @@ def fit_blockdiag_target(d: int, b: int, target: np.ndarray, steps: int, lr: flo
     if d % b != 0:
         raise ValueError(f"block size {b} must divide dimension {d}")
     target = np.asarray(target, dtype=np.float64)
-    r = d // b
-    gens = SkewGenerators.zeros([b] * r)
-    losses = []
-    for _ in range(steps):
-        q = cayley_blockdiag(gens).as_dense()
-        diff = q - target
-        loss = float(np.sum(diff * diff))
-        if not np.isfinite(loss):
-            raise RuntimeError("training diverged (loss is not finite); try a smaller lr")
-        losses.append(loss)
+
+    def step(gens, grad_q):
         grads = [
-            cayley_vjp(gens.gens[i], 2.0 * diff[i * b : (i + 1) * b, i * b : (i + 1) * b])
-            for i in range(r)
+            cayley_vjp(a, grad_q[i * b : (i + 1) * b, i * b : (i + 1) * b])
+            for i, a in enumerate(gens.gens)
         ]
-        gens = _update_gens(gens, grads, lr)
+        return _update_gens(gens, grads, lr)
+
+    gens = SkewGenerators.zeros([b] * (d // b))
+    gens, losses, _ = _descend(gens, lambda g: cayley_blockdiag(g).as_dense(), step, target, steps)
     return gens, losses
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsmat.blockdiag import (
     BlockDiagonal,
@@ -40,6 +41,31 @@ def test_apply_dense_consistency_up_to_64():
         bd = BlockDiagonal(tuple(rng.standard_normal((b, b)) for b in sizes))
         x = rng.standard_normal(bd.cols)
         np.testing.assert_allclose(bd.apply(x), bd.as_dense() @ x, atol=1e-14)
+
+
+# Runs of equal-shape blocks, ragged and non-square ones included.
+_block_runs = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=5
+).filter(lambda runs: any(b1 + b2 for _, b1, b2 in runs))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(runs=_block_runs, trailing=st.sampled_from([(), (3,), (2, 3)]), seed=st.integers(0, 2**16))
+def test_apply_matches_dense_for_mixed_runs(runs, trailing, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal((b1, b2)) for k, b1, b2 in runs for _ in range(k)]
+    bd = BlockDiagonal(tuple(blocks))
+    assert len(bd.blocks) == len(blocks)
+    for got, want in zip(bd.blocks, blocks):
+        assert got.dtype == np.float64 and got.ndim == 2
+        np.testing.assert_array_equal(got, want)
+    dense = bd.as_dense()
+    x = rng.standard_normal((bd.cols, *trailing))
+    y = rng.standard_normal((bd.rows, *trailing))
+    got, got_t = bd.apply(x), bd.apply_t(y)
+    assert got.shape == (bd.rows, *trailing) and got_t.shape == (bd.cols, *trailing)
+    np.testing.assert_allclose(got, np.tensordot(dense, x, 1), atol=1e-12)
+    np.testing.assert_allclose(got_t, np.tensordot(dense.T, y, 1), atol=1e-12)
 
 
 def test_apply_length_mismatch():

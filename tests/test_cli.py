@@ -298,6 +298,29 @@ def test_exit_code_usage(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "--d", "16", "--b", "0"], "--b"),
+        (["bench", "--d", "16", "--b", "4", "--reps", "0"], "--reps"),
+        (["demo-gsoft", "--steps", "0"], "--steps"),
+        (["demo-gsoft", "--steps", "-3"], "--steps"),
+        (["demo-gsoft", "--steps", "3", "--lr", "nan"], "--lr"),
+        (["demo-gsoft", "--steps", "3", "--tol", "nan"], "--tol"),
+        (["demo-conv", "--size", "0"], "--size"),
+        (["demo-conv", "--groups", "0"], "--groups"),
+        (["count", "--b", "x", "--r", "2", "--m", "2"], "--b"),
+    ],
+)
+def test_out_of_range_numeric_flags_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}:" in err
+
+
 def test_non_integer_seed_env_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("GS_SEED", "abc")
     code, _, err = _run(capsys, ["info"])

@@ -59,12 +59,45 @@ def test_grouped_conv_matches_materialized_matrix():
         for _ in range(3):
             x = rng.standard_normal((c_in, h, w))
             np.testing.assert_allclose(grouped_conv(k, x).ravel(), m @ x.ravel(), atol=1e-12)
+    # Kernels assembled group by group, without random_grouped_kernel.
+    for groups, (c_out, c_in), (kh, kw) in [
+        (2, (6, 4), (3, 3)),  # c_out != c_in with several groups
+        (2, (4, 6), (3, 5)),  # non-square kernel
+        (2, (4, 4), (1, 1)),
+        (6, (6, 6), (3, 3)),  # depthwise: one channel per group
+    ]:
+        weights = np.zeros((c_out, c_in, kh, kw))
+        go, gi = c_out // groups, c_in // groups
+        for g in range(groups):
+            block = rng.standard_normal((go, gi, kh, kw))
+            weights[g * go : (g + 1) * go, g * gi : (g + 1) * gi] = block
+        k = ConvKernel(weights, groups)
+        h, w = 4, 5
+        m = conv_as_matrix(k, h, w)
+        x = rng.standard_normal((c_in, h, w))
+        np.testing.assert_allclose(grouped_conv(k, x).ravel(), m @ x.ravel(), atol=1e-12)
 
 
 def test_cross_group_entries_rejected():
     w = np.ones((4, 4, 1, 1))
     with pytest.raises(ValueError, match="cross-group"):
         ConvKernel(w, groups=2)
+    # One nonzero entry in the (group 1 out, group 0 in) block of a 6 x 4 kernel.
+    w = np.zeros((6, 4, 3, 3))
+    w[4, 1, 2, 0] = 1e-300
+    with pytest.raises(ValueError, match="cross-group"):
+        ConvKernel(w, groups=2)
+    w[4, 1, 2, 0] = 0.0
+    w[4, 3, 2, 0] = 1.0
+    ConvKernel(w, groups=2)
+
+
+@pytest.mark.parametrize("groups", [0, -1, 3])
+def test_group_count_must_divide_channels(groups):
+    with pytest.raises(ValueError, match="must divide"):
+        ConvKernel(np.zeros((4, 4, 1, 1)), groups)
+    with pytest.raises(ValueError, match="must divide"):
+        random_grouped_kernel(4, 4, 3, groups, np.random.default_rng(0))
 
 
 def test_grouped_matrix_is_block_diagonal():

@@ -210,8 +210,9 @@ def test_checkpoint_rejects_wrong_base_weight(tmp_path):
         lambda doc: doc.update(scale="1.7"),
         lambda doc: doc["gen_L_triu"].append([0.0]),
         lambda doc: doc["spec"]["P"].update(n=99),
+        lambda doc: doc.update(scale=float("nan")),
     ],
-    ids=["missing-scale", "missing-spec", "string-scale", "extra-generator", "perm-n"],
+    ids=["missing-scale", "missing-spec", "string-scale", "extra-generator", "perm-n", "nan-scale"],
 )
 def test_checkpoint_rejects_malformed(tmp_path, edit):
     rng = np.random.default_rng(6)
@@ -232,3 +233,17 @@ def test_adapter_validation():
         GSOFTAdapter(w0, OrthoGSParams.zeros(gsoft_spec(16, 4)))
     with pytest.raises(ValueError, match="scale"):
         GSOFTAdapter(w0, OrthoGSParams.zeros(gsoft_spec(8, 2)), scale=0.0)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+def test_adapters_require_finite_positive_scale(scale):
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="scale"):
+        GSOFTAdapter(rng.standard_normal((8, 3)), OrthoGSParams.zeros(gsoft_spec(8, 2)), scale)
+    with pytest.raises(ValueError, match="scale"):
+        DoubleGSOFTAdapter(
+            rng.standard_normal((8, 4)),
+            OrthoGSParams.zeros(gsoft_spec(8, 2)),
+            OrthoGSParams.zeros(gsoft_spec(4, 2)),
+            scale,
+        )
