@@ -158,26 +158,48 @@ class GSMatrix:
         return perm_cols(self.spec.P_R, self.spec.P_L.apply(core))
 
 
-def _routing(spec: GSClassSpec) -> dict:
-    """Map (k1, k2) -> sorted list of interior indices i routed into that block.
+def _routing(spec: GSClassSpec):
+    """The slot layout of the block-low-rank view: (ranks, l_slots, r_slots).
 
-    Index i is a row of R (block k2 = i // b_R1); sigma(i) is a column of L
-    (block k1 = sigma(i) // b_L2).
+    Interior index i pairs column sigma(i) of L with row i of R, a rank-one
+    term in block (sigma(i) // b_L2, i // b_R1). Slots are the interior indices
+    sorted stably by block pair, so every pair owns a contiguous run of them.
+    ranks is the k_L x k_R count per pair; l_slots and r_slots index the
+    (k_L, b_L1, b_L2) and (k_R, b_R1, b_R2) stacks, giving one row per slot.
     """
-    routed: dict = {}
     sigma = spec.P.sigma
-    for i in range(spec.s):
-        key = (int(sigma[i]) // spec.b_L2, i // spec.b_R1)
-        routed.setdefault(key, []).append(i)
-    return routed
+    key = sigma // spec.b_L2 * spec.k_R + np.arange(spec.s) // spec.b_R1
+    ranks = np.bincount(key, minlength=spec.k_L * spec.k_R).reshape(spec.k_L, spec.k_R)
+    rows = np.argsort(key, kind="stable")
+    cols = sigma[rows]
+    return ranks, (cols // spec.b_L2, slice(None), cols % spec.b_L2), (rows // spec.b_R1, rows % spec.b_R1)
+
+
+def _pairs(ranks: np.ndarray):
+    """(k1, k2, run) for every routed block pair, run the slice of its slots."""
+    ends = np.cumsum(ranks).reshape(ranks.shape)
+    for k1, k2 in zip(*np.nonzero(ranks)):
+        yield int(k1), int(k2), slice(int(ends[k1, k2] - ranks[k1, k2]), int(ends[k1, k2]))
+
+
+def _gather(a: "GSMatrix"):
+    """(ranks, u, v): the L column and R row of every slot, as rows of u and v."""
+    ranks, l_slots, r_slots = _routing(a.spec)
+    return ranks, np.stack(a.L.blocks)[l_slots], np.stack(a.R.blocks)[r_slots]
+
+
+def _pack(spec: GSClassSpec, u: np.ndarray, v: np.ndarray) -> "GSMatrix":
+    """GSMatrix whose L column and R row at every slot are that slot's rows of u, v."""
+    _, l_slots, r_slots = _routing(spec)
+    l = np.zeros((spec.k_L, spec.b_L1, spec.b_L2))
+    r = np.zeros((spec.k_R, spec.b_R1, spec.b_R2))
+    l[l_slots], r[r_slots] = u, v
+    return GSMatrix(spec, BlockDiagonal(l), BlockDiagonal(r))
 
 
 def block_rank_map(spec: GSClassSpec) -> np.ndarray:
     """k_L x k_R integer matrix of rank-one term counts routed by P."""
-    ranks = np.zeros((spec.k_L, spec.k_R), dtype=np.int64)
-    for (k1, k2), idx in _routing(spec).items():
-        ranks[k1, k2] = len(idx)
-    return ranks
+    return _routing(spec)[0]
 
 
 def to_block_lowrank(a: GSMatrix) -> list:
@@ -191,13 +213,8 @@ def to_block_lowrank(a: GSMatrix) -> list:
             "to_block_lowrank requires identity outer permutations; "
             "strip P_L and P_R by conjugation first"
         )
-    sigma = sp.P.sigma
-    out = []
-    for (k1, k2), idx in sorted(_routing(sp).items()):
-        u_cols = [a.L.blocks[k1][:, int(sigma[i]) % sp.b_L2] for i in idx]
-        v_cols = [a.R.blocks[k2][i % sp.b_R1, :] for i in idx]
-        out.append((k1, k2, np.column_stack(u_cols), np.column_stack(v_cols)))
-    return out
+    ranks, u, v = _gather(a)
+    return [(k1, k2, u[run].T, v[run].T) for k1, k2, run in _pairs(ranks)]
 
 
 def svd_small(m: np.ndarray):
@@ -214,14 +231,10 @@ def svd_small(m: np.ndarray):
     if not np.all(np.isfinite(m)):
         raise ValueError("svd_small: input contains NaN/Inf")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    v = vt.T
-    for j in range(s.size):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-14)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    return u, s, v
+    nz = np.abs(u) > 1e-14
+    first = u[nz.argmax(0), np.arange(s.size)] if s.size else s
+    sign = np.where(first < 0, -1.0, 1.0)
+    return u * sign, s, vt.T * sign
 
 
 def project(a: np.ndarray, spec: GSClassSpec) -> GSMatrix:
@@ -229,25 +242,18 @@ def project(a: np.ndarray, spec: GSClassSpec) -> GSMatrix:
 
     Each block of P_L^T A P_R^T is truncated to the rank the interior
     permutation routes into it; the split factors U_r sqrt(S) and sqrt(S) V_r^T
-    are packed back into L and R along the routed positions.
+    fill the pair's slots, and slots past the available spectrum stay zero.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (spec.m, spec.n):
         raise ValueError(f"shape mismatch: expected {(spec.m, spec.n)}, got {a.shape}")
     core = perm_cols_t(spec.P_R, spec.P_L.apply_inverse(a))
-    l_blocks = [np.zeros((spec.b_L1, spec.b_L2)) for _ in range(spec.k_L)]
-    r_blocks = [np.zeros((spec.b_R1, spec.b_R2)) for _ in range(spec.k_R)]
-    sigma = spec.P.sigma
-    for (k1, k2), idx in _routing(spec).items():
-        block = core[
-            k1 * spec.b_L1 : (k1 + 1) * spec.b_L1,
-            k2 * spec.b_R2 : (k2 + 1) * spec.b_R2,
-        ]
-        u, s, v = svd_small(block)
-        for j, i in enumerate(idx):
-            # Past the available spectrum the factors stay zero.
-            if j < s.size:
-                root = np.sqrt(s[j])
-                l_blocks[k1][:, int(sigma[i]) % spec.b_L2] = root * u[:, j]
-                r_blocks[k2][i % spec.b_R1, :] = root * v[:, j]
-    return GSMatrix(spec, BlockDiagonal(tuple(l_blocks)), BlockDiagonal(tuple(r_blocks)))
+    blocks = core.reshape(spec.k_L, spec.b_L1, spec.k_R, spec.b_R2)
+    u_slots, v_slots = np.zeros((spec.s, spec.b_L1)), np.zeros((spec.s, spec.b_R2))
+    for k1, k2, run in _pairs(block_rank_map(spec)):
+        u, s, v = svd_small(blocks[k1, :, k2])
+        # Past the available spectrum the slots stay zero.
+        n = min(run.stop - run.start, s.size)
+        root = np.sqrt(s[:n])
+        u_slots[run][:n], v_slots[run][:n] = (root * u[:, :n]).T, (root * v[:, :n]).T
+    return _pack(spec, u_slots, v_slots)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockdiag import BlockDiagonal, SkewGenerators, cayley_blockdiag, cayley_vjp
-from .gs import GSClassSpec, GSMatrix, to_block_lowrank, _routing
+from .blockdiag import SkewGenerators, cayley_blockdiag, cayley_vjp
+from .gs import GSClassSpec, GSMatrix, _gather, _pack, _pairs
 from .perm import perm_cols, perm_cols_t
 
 __all__ = [
@@ -115,24 +115,9 @@ def orthogonalize_representation(a: GSMatrix, input_tol: float = 1e-8) -> GSMatr
         raise ValueError(
             f"input is not orthogonal within {input_tol:g}: ||A^T A - I||_F = {residual:.3e}"
         )
-    # Outer permutations are orthogonal, so work on the core L P R.
-    stripped = GSMatrix(
-        GSClassSpec.make(sp.k_L, sp.b_L1, sp.b_L2, sp.k_R, sp.b_R1, sp.b_R2, P=sp.P),
-        a.L,
-        a.R,
-    )
-    factors = to_block_lowrank(stripped)
-    routed = _routing(sp)
-    sigma = sp.P.sigma
-    l_blocks = [np.zeros((sp.b_L1, sp.b_L2)) for _ in range(sp.k_L)]
-    r_blocks = [np.zeros((sp.b_R1, sp.b_R2)) for _ in range(sp.k_R)]
-    for k1, k2, u, v in factors:
-        idx = routed[(k1, k2)]
-        if u.shape[1] != len(idx):
-            raise ValueError("internal-consistency error: factor width != routed rank")
-        q, t = np.linalg.qr(u)
-        v_new = v @ t.T
-        for j, i in enumerate(idx):
-            l_blocks[k1][:, int(sigma[i]) % sp.b_L2] = q[:, j]
-            r_blocks[k2][i % sp.b_R1, :] = v_new[:, j]
-    return GSMatrix(sp, BlockDiagonal(tuple(l_blocks)), BlockDiagonal(tuple(r_blocks)))
+    # Outer permutations are orthogonal, so the routed blocks of L P R decide.
+    ranks, u, v = _gather(a)
+    for _, _, run in _pairs(ranks):
+        q, t = np.linalg.qr(u[run].T)
+        u[run], v[run] = q.T, t @ v[run]
+    return _pack(sp, u, v)

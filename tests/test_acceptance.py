@@ -143,10 +143,9 @@ def _block_tail_sq(a, spec):
     Independent route: Jacobi eigenvalues of B^T B per block of the
     permutation-stripped matrix.
     """
-    from gsmat.gs import _routing
-
     core = spec.P_L.as_dense().T @ a @ spec.P_R.as_dense().T
-    routed = _routing(spec)
+    ranks = np.zeros((spec.k_L, spec.k_R), dtype=np.int64)
+    np.add.at(ranks, (spec.P.sigma // spec.b_L2, np.arange(spec.s) // spec.b_R1), 1)
     total = 0.0
     for k1 in range(spec.k_L):
         for k2 in range(spec.k_R):
@@ -154,7 +153,7 @@ def _block_tail_sq(a, spec):
                 k1 * spec.b_L1 : (k1 + 1) * spec.b_L1,
                 k2 * spec.b_R2 : (k2 + 1) * spec.b_R2,
             ]
-            rank = len(routed.get((k1, k2), []))
+            rank = ranks[k1, k2]
             ev = jacobi_eigvals(blk.T @ blk)  # descending
             # Zero eigenvalues come back as O(eps * ||B||^2) noise; clip them
             # so the sqrt below does not inflate rounding error to 1e-8.

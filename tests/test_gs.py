@@ -4,7 +4,7 @@ import pytest
 from gsmat import GSClassSpec, GSMatrix, block_rank_map, project, svd_small, to_block_lowrank
 from gsmat.blockdiag import BlockDiagonal
 from gsmat.perm import identity_perm, stride_perm
-from oracles import jacobi_eigvals, random_member, random_spec
+from oracles import jacobi_eigvals, random_member, random_perm, random_spec
 
 
 def explicit_dense(a):
@@ -86,6 +86,42 @@ def test_block_rank_map_sums_to_s():
         assert block_rank_map(sp).sum() == sp.s
 
 
+def _routed_counts(sp):
+    ranks = np.zeros((sp.k_L, sp.k_R), dtype=np.int64)
+    np.add.at(ranks, (sp.P.sigma // sp.b_L2, np.arange(sp.s) // sp.b_R1), 1)
+    return ranks
+
+
+def test_block_rank_map_matches_independent_count():
+    rng = np.random.default_rng(14)
+    checked = 0
+    while checked < 30:
+        sp = random_spec(rng)
+        if sp.b_L2 != sp.b_R1:
+            np.testing.assert_array_equal(block_rank_map(sp), _routed_counts(sp))
+            checked += 1
+
+
+def test_project_leaves_unreachable_slots_zero():
+    # Pairs receive up to 4 routed terms but have rank at most min(b_L1, b_R2) = 2;
+    # the terms past the spectrum, in increasing interior index, stay zero.
+    rng = np.random.default_rng(15)
+    unreachable = 0
+    for p in [identity_perm(12)] + [random_perm(12, rng) for _ in range(4)]:
+        sp = GSClassSpec(2, 2, 6, 3, 4, 2, random_perm(4, rng), p, random_perm(6, rng))
+        unreachable += int(np.clip(_routed_counts(sp) - 2, 0, None).sum())
+        b = project(rng.standard_normal((sp.m, sp.n)), sp)
+        l, r, sigma = b.L.as_dense(), b.R.as_dense(), sp.P.sigma
+        for k1 in range(sp.k_L):
+            for k2 in range(sp.k_R):
+                routed = [i for i in range(sp.s) if sigma[i] // sp.b_L2 == k1 and i // sp.b_R1 == k2]
+                for j, i in enumerate(routed):
+                    reachable = j < min(sp.b_L1, sp.b_R2)
+                    assert np.any(l[:, sigma[i]] != 0.0) == reachable
+                    assert np.any(r[i] != 0.0) == reachable
+    assert unreachable > 0
+
+
 def test_to_block_lowrank_identity_case():
     sp = GSClassSpec.make(2, 2, 2, 2, 2, 2)
     a = GSMatrix(sp, BlockDiagonal.identity([2, 2]), BlockDiagonal.identity([2, 2]))
@@ -159,6 +195,21 @@ def test_svd_small_sign_convention_deterministic():
     for j in range(6):
         nz = np.nonzero(np.abs(u1[:, j]) > 1e-14)[0]
         assert u1[nz[0], j] >= 0
+
+
+def test_svd_small_sign_rule_with_leading_zero_rows():
+    # Full column rank below the zero rows, so every left singular vector
+    # starts below row 0 and the sign rule must look past the leading zeros.
+    rng = np.random.default_rng(16)
+    for rows, cols, zero in [(7, 4, 3), (12, 3, 8), (9, 5, 3), (6, 2, 4), (3, 1, 2)]:
+        m = rng.standard_normal((rows, cols))
+        m[:zero] = 0.0
+        u, s, v = svd_small(m)
+        np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-12 * np.linalg.norm(m))
+        for j in range(s.size):
+            first = np.flatnonzero(np.abs(u[:, j]) > 1e-14)[0]
+            assert first >= zero
+            assert u[first, j] >= 0
 
 
 def test_svd_small_rejects_nan():
