@@ -141,19 +141,17 @@ def cayley_blockdiag(g: SkewGenerators) -> BlockDiagonal:
 def cayley_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. generator A of a loss with gradient G at Q = cayley(A - A^T).
 
-    With S = I - K, dQ = (I + Q) dK S^{-1}, so grad_K = (I + Q)^T G S^{-T}
-    and grad_A = grad_K - grad_K^T.
+    With S = I - K, I + Q = 2 S^{-1}, so dQ = 2 S^{-1} dK S^{-1} and
+    grad_K = 2 S^{-T} G S^{-T}, where S^{-T} = (I + K)^{-1} (K is skew): one
+    LU per block. grad_A = grad_K - grad_K^T.
     """
     a = np.asarray(a, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if a.shape != g.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {g.shape}")
     k = a - a.T
-    eye = np.eye(a.shape[0])
-    s = eye - k
-    q = np.linalg.solve(s, eye + k)
-    w = np.linalg.solve(s, g.T).T  # G S^{-T}
-    grad_k = (eye + q).T @ w
+    s_inv_t = np.linalg.inv(np.eye(a.shape[0]) + k)
+    grad_k = 2.0 * (s_inv_t @ g @ s_inv_t)
     return grad_k - grad_k.T
 
 

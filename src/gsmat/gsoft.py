@@ -63,14 +63,15 @@ class GSOFTAdapter:
         return self.scale * (materialize(self.q).as_dense() @ self.W0)
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray):
-        """Gradients of <grad_out, forward(x)> w.r.t. generators and scale."""
-        x = np.asarray(x, dtype=np.float64)
-        g = np.asarray(grad_out, dtype=np.float64)
-        if x.shape[0] != self.W0.shape[0] or g.shape[0] != self.W0.shape[1]:
-            raise ValueError("shape mismatch in backward")
-        grad_q = self.scale * np.outer(x, self.W0 @ g)
+        """Gradients of <grad_out, forward(x)> w.r.t. generators and scale.
+
+        x is one input (d,) or a batch (d, n) with grad_out (n_out,) or
+        (n_out, n); a batch's gradients are the sums over its columns.
+        """
+        x, g = _batch(self.W0, x, grad_out)
+        grad_q = self.scale * _outer(x, self.W0 @ g)
         grads_l, grads_r = materialize_vjp(self.q, grad_q)
-        grad_scale = float(g @ self.forward(x)) / self.scale
+        grad_scale = float(g.ravel() @ self.forward(x).ravel()) / self.scale
         return {"gen_L": grads_l, "gen_R": grads_r, "scale": grad_scale}
 
 
@@ -115,22 +116,36 @@ class DoubleGSOFTAdapter:
         return self.scale * (qu @ self.W0 @ qv)
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        g = np.asarray(grad_out, dtype=np.float64)
-        if x.shape[0] != self.W0.shape[0] or g.shape[0] != self.W0.shape[1]:
-            raise ValueError("shape mismatch in backward")
+        """As GSOFTAdapter.backward, for both sides; x may be a (d, n) batch."""
+        x, g = _batch(self.W0, x, grad_out)
         qu = materialize(self.q_U)
         qv = materialize(self.q_V)
-        grad_qu = self.scale * np.outer(x, self.W0 @ qv.apply(g))
-        grad_qv = self.scale * np.outer(self.W0.T @ qu.apply_t(x), g)
+        grad_qu = self.scale * _outer(x, self.W0 @ qv.apply(g))
+        grad_qv = self.scale * _outer(self.W0.T @ qu.apply_t(x), g)
         gu = materialize_vjp(self.q_U, grad_qu)
         gv = materialize_vjp(self.q_V, grad_qv)
-        grad_scale = float(g @ self.forward(x)) / self.scale
+        grad_scale = float(g.ravel() @ self.forward(x).ravel()) / self.scale
         return {
             "q_U": {"gen_L": gu[0], "gen_R": gu[1]},
             "q_V": {"gen_L": gv[0], "gen_R": gv[1]},
             "scale": grad_scale,
         }
+
+
+def _batch(w0: np.ndarray, x, grad_out):
+    """x and grad_out as float64, checked to be (d,) and (n_out,), or (d, n) and (n_out, n)."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != w0.shape[0] or g.shape != w0.shape[1:] + x.shape[1:]:
+        raise ValueError(
+            f"shape mismatch in backward: x {x.shape} and grad_out {g.shape} for W0 {w0.shape}"
+        )
+    return x, g
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b^T summed over samples: np.outer for one sample, a @ b.T for (., n) batches."""
+    return np.outer(a, b) if a.ndim == 1 else a @ b.T
 
 
 def _update_gens(g: SkewGenerators, grads, lr: float) -> SkewGenerators:

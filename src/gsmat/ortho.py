@@ -63,29 +63,26 @@ def materialize(p: OrthoGSParams) -> GSMatrix:
 def materialize_vjp(p: OrthoGSParams, grad_q: np.ndarray):
     """Gradients of a loss w.r.t. gen_L and gen_R given its gradient at Q dense.
 
-    Q = P_L L P R P_R gives grad_Ldense = P_L^T G (P R P_R)^T and
-    grad_Rdense = (P_L L P)^T G P_R^T; only their diagonal blocks feed the
-    per-block Cayley VJPs.
+    Q = P_L L P R P_R gives grad_Ldense = H (P R)^T with H = P_L^T G P_R^T, and
+    grad_Rdense = (P_L L P)^T G P_R^T. Only their k diagonal b x b blocks feed
+    the per-block Cayley VJPs, so only those are contracted, one batched
+    (k, b, d) @ (k, d, b) product per factor: O(d^2 b) work, not O(d^3).
     """
     sp = p.spec
     grad_q = np.asarray(grad_q, dtype=np.float64)
     if grad_q.shape != (sp.m, sp.n):
         raise ValueError(f"shape mismatch: expected {(sp.m, sp.n)}, got {grad_q.shape}")
+    d, k_l, b_l, k_r, b_r = sp.m, sp.k_L, sp.b_L1, sp.k_R, sp.b_R1
     ld = cayley_blockdiag(p.gen_L).as_dense()
     rd = cayley_blockdiag(p.gen_R).as_dense()
-    prpr = perm_cols(sp.P_R, sp.P.apply(rd))
+    pr = sp.P.apply(rd)
     pllp = perm_cols(sp.P, sp.P_L.apply(ld))
-    g_l = sp.P_L.apply_inverse(grad_q) @ prpr.T
-    g_r = pllp.T @ perm_cols_t(sp.P_R, grad_q)
-    b_l, b_r = sp.b_L1, sp.b_R1
-    grads_l = [
-        cayley_vjp(p.gen_L.gens[i], g_l[i * b_l : (i + 1) * b_l, i * b_l : (i + 1) * b_l])
-        for i in range(sp.k_L)
-    ]
-    grads_r = [
-        cayley_vjp(p.gen_R.gens[i], g_r[i * b_r : (i + 1) * b_r, i * b_r : (i + 1) * b_r])
-        for i in range(sp.k_R)
-    ]
+    gpr = perm_cols_t(sp.P_R, grad_q)
+    h = sp.P_L.apply_inverse(gpr)
+    g_l = h.reshape(k_l, b_l, d) @ pr.reshape(k_l, b_l, d).transpose(0, 2, 1)
+    g_r = pllp.reshape(d, k_r, b_r).transpose(1, 2, 0) @ gpr.reshape(d, k_r, b_r).transpose(1, 0, 2)
+    grads_l = [cayley_vjp(a, g) for a, g in zip(p.gen_L.gens, g_l)]
+    grads_r = [cayley_vjp(a, g) for a, g in zip(p.gen_R.gens, g_r)]
     return grads_l, grads_r
 
 

@@ -122,16 +122,14 @@ def paired_stride_perm(k: int, n: int) -> Permutation:
 
 
 def perm_cols(p: Permutation, m: np.ndarray) -> np.ndarray:
-    """M @ P."""
+    """M @ P: column j of the result is column sigma[j] of M (a gather)."""
     if m.shape[1] != p.n:
         raise ValueError(f"column count mismatch: expected {p.n}, got {m.shape[1]}")
-    return m[:, p.sigma]
+    return np.take(m, p.sigma, axis=1)
 
 
 def perm_cols_t(p: Permutation, m: np.ndarray) -> np.ndarray:
-    """M @ P^T."""
+    """M @ P^T, gathered through the inverse permutation."""
     if m.shape[1] != p.n:
         raise ValueError(f"column count mismatch: expected {p.n}, got {m.shape[1]}")
-    out = np.empty_like(m)
-    out[:, p.sigma] = m
-    return out
+    return np.take(m, np.argsort(p.sigma), axis=1)

@@ -128,6 +128,12 @@ def test_cayley_vjp_matches_finite_differences():
         grad = cayley_vjp(a, c)
         fd = central_diff(lambda m: float(np.sum(cayley(m - m.T) * c)), a)
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12), trial
+    for b in (8, 16, 32):  # the block sizes adapters use
+        a = rng.standard_normal((b, b))
+        c = rng.standard_normal((b, b))
+        grad = cayley_vjp(a, c)
+        fd = central_diff(lambda m: float(np.sum(cayley(m - m.T) * c)), a)
+        assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12), b
 
 
 def test_cayley_vjp_symmetric_directions_vanish():

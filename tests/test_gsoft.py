@@ -156,6 +156,68 @@ def test_double_adapter_forward_merge_and_backward():
         np.testing.assert_allclose(grads["q_V"]["gen_R"][i], fd, atol=1e-6, rtol=1e-6)
 
 
+def _flat(grads):
+    """Every entry of a backward() result as one vector, in sorted key order."""
+    if isinstance(grads, dict):
+        return np.concatenate([_flat(grads[key]) for key in sorted(grads)])
+    if isinstance(grads, list):
+        return np.concatenate([np.ravel(g) for g in grads])
+    return np.array([grads])
+
+
+def test_batched_backward_sums_per_column_gradients():
+    rng = np.random.default_rng(8)
+    w0 = rng.standard_normal((16, 8))
+    single = GSOFTAdapter(w0, OrthoGSParams.random(gsoft_spec(16, 4), rng, scale=0.4), 1.3)
+    double = DoubleGSOFTAdapter(
+        w0,
+        OrthoGSParams.random(gsoft_spec(16, 4), rng, scale=0.4),
+        OrthoGSParams.random(gsoft_spec(8, 2), rng, scale=0.4),
+        0.7,
+    )
+    x = rng.standard_normal((16, 5))
+    g = rng.standard_normal((8, 5))
+    for a in (single, double):
+        assert a.forward(x).shape == g.shape
+        per_column = sum(_flat(a.backward(x[:, j], g[:, j])) for j in range(x.shape[1]))
+        np.testing.assert_allclose(_flat(a.backward(x, g)), per_column, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="shape mismatch in backward"):
+            a.backward(x, g[:, 0])
+        with pytest.raises(ValueError, match="shape mismatch in backward"):
+            a.backward(x[:, None, :], g[:, None, :])
+
+
+def test_batched_backward_matches_finite_differences():
+    rng = np.random.default_rng(9)
+    a = _random_adapter(8, 2, rng, scale=1.4, gen_scale=0.4)
+    x = rng.standard_normal((8, 3))
+    g = rng.standard_normal((8, 3))
+    grads = a.backward(x, g)
+
+    def loss(adapter):
+        return float(np.sum(g * adapter.forward(x)))
+
+    for i in range(a.q.spec.k_L):
+        def f(m, i=i):
+            gens = list(a.q.gen_L.gens)
+            gens[i] = m
+            q = OrthoGSParams(a.q.spec, SkewGenerators(tuple(gens)), a.q.gen_R)
+            return loss(GSOFTAdapter(a.W0, q, a.scale))
+
+        fd = central_diff(f, a.q.gen_L.gens[i])
+        np.testing.assert_allclose(grads["gen_L"][i], fd, atol=1e-6, rtol=1e-6)
+    for i in range(a.q.spec.k_R):
+        def f(m, i=i):
+            gens = list(a.q.gen_R.gens)
+            gens[i] = m
+            q = OrthoGSParams(a.q.spec, a.q.gen_L, SkewGenerators(tuple(gens)))
+            return loss(GSOFTAdapter(a.W0, q, a.scale))
+
+        fd = central_diff(f, a.q.gen_R.gens[i])
+        np.testing.assert_allclose(grads["gen_R"][i], fd, atol=1e-6, rtol=1e-6)
+    assert np.isclose(grads["scale"], loss(a) / a.scale, rtol=1e-12)
+
+
 def test_fit_orthogonal_target_converges():
     rng = np.random.default_rng(4)
     spec = gsoft_spec(16, 4)

@@ -12,7 +12,7 @@ from gsmat import (
     materialize_vjp,
     orthogonalize_representation,
 )
-from gsmat.blockdiag import SkewGenerators
+from gsmat.blockdiag import SkewGenerators, cayley_vjp
 
 from oracles import central_diff, random_perm, random_square_spec
 
@@ -92,6 +92,54 @@ def test_materialize_vjp_matches_finite_differences():
 
             fd = central_diff(f, p.gen_R.gens[i])
             np.testing.assert_allclose(grads_r[i], fd, atol=1e-6, rtol=1e-6)
+
+
+def _perm_matrix(sigma):
+    """Dense permutation matrix with a 1 at (sigma[i], i), built without gsmat."""
+    sigma = np.asarray(sigma)
+    m = np.zeros((sigma.size, sigma.size))
+    m[sigma, np.arange(sigma.size)] = 1.0
+    return m
+
+
+def _block_diag(blocks):
+    n = sum(blk.shape[0] for blk in blocks)
+    out, at = np.zeros((n, n)), 0
+    for blk in blocks:
+        b = blk.shape[0]
+        out[at : at + b, at : at + b] = blk
+        at += b
+    return out
+
+
+def _diag_blocks(m, b):
+    return [m[i : i + b, i : i + b] for i in range(0, m.shape[0], b)]
+
+
+def test_materialize_vjp_matches_dense_reference():
+    """The diagonal-block VJP against the full d x d products it contracts.
+
+    Random outer permutations and b_L != b_R come from random_square_spec;
+    gsoft_spec(64, 8) has P_L = P^T and P_R = I.
+    """
+    rng = np.random.default_rng(29)
+    specs = [random_square_spec(rng, sizes=(12, 16, 24, 48)) for _ in range(30)]
+    specs.append(gsoft_spec(64, 8))
+    assert any(sp.b_L1 != sp.b_R1 for sp in specs)
+    for spec in specs:
+        p = OrthoGSParams.random(spec, rng, scale=0.5)
+        gsm = materialize(p)
+        p_l, p_mid, p_r = (_perm_matrix(q.sigma) for q in (spec.P_L, spec.P, spec.P_R))
+        l, r = _block_diag(gsm.L.blocks), _block_diag(gsm.R.blocks)
+        g = rng.standard_normal((spec.m, spec.n))
+        grad_l = p_l.T @ g @ (p_mid @ r @ p_r).T
+        grad_r = (p_l @ l @ p_mid).T @ g @ p_r.T
+        want_l = [cayley_vjp(a, blk) for a, blk in zip(p.gen_L.gens, _diag_blocks(grad_l, spec.b_L1))]
+        want_r = [cayley_vjp(a, blk) for a, blk in zip(p.gen_R.gens, _diag_blocks(grad_r, spec.b_R1))]
+        got_l, got_r = materialize_vjp(p, g)
+        assert len(got_l) == spec.k_L and len(got_r) == spec.k_R
+        for got, want in zip(got_l + got_r, want_l + want_r):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_vjp_rejects_wrong_shape():

@@ -138,6 +138,12 @@ def test_matrix_helpers_match_dense_products():
     np.testing.assert_allclose(p.apply_inverse(m), d.T @ m)
     np.testing.assert_allclose(perm_cols(p, m), m @ d)
     np.testing.assert_allclose(perm_cols_t(p, m), m @ d.T)
+    # Non-square: the column helpers permute the 6 columns of a 4 x 6 matrix.
+    wide = rng.standard_normal((4, 6))
+    np.testing.assert_array_equal(perm_cols(p, wide), wide @ d)
+    np.testing.assert_array_equal(perm_cols_t(p, wide), wide @ d.T)
+    with pytest.raises(ValueError, match="column count"):
+        perm_cols_t(p, wide.T)
 
 
 def test_json_roundtrip():
