@@ -86,19 +86,27 @@ def grouped_conv(kernel: ConvKernel, x: np.ndarray) -> np.ndarray:
     kh, kw = kernel.ksize
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel sides must be odd")
-    ph, pw = kh // 2, kw // 2
     _, h, w = x.shape
     g, gi = kernel.groups, kernel.c_in // kernel.groups
     # Diagonal group blocks, tap-major: taps[dy, dx] is (g, c_out/g, c_in/g).
     diag = np.arange(g)
     taps = np.ascontiguousarray(_group_view(kernel.weights, g)[diag, :, diag].transpose(3, 4, 0, 1, 2))
-    xp = np.zeros((g, gi, h + 2 * ph, w + 2 * pw))
-    xp[:, :, ph : ph + h, pw : pw + w] = x.reshape(g, gi, h, w)
-    y = np.zeros((g, kernel.c_out // g, h * w))
+    if kh == kw == 1:
+        return (taps[0, 0] @ x.reshape(g, gi, h * w)).reshape(kernel.c_out, h, w)
+    # The padded image is stored flat with rows wp wide, plus 2pw spare zeros
+    # at the end, so tap (dy, dx) reads the contiguous window of h*wp entries
+    # starting at dy*wp + dx: a strided view that BLAS takes without a copy.
+    # Each output row then has wp columns, of which the last 2pw are dropped.
+    ph, pw = kh // 2, kw // 2
+    hp, wp = h + 2 * ph, w + 2 * pw
+    xp = np.zeros((g, gi, hp * wp + 2 * pw))
+    xp[:, :, : hp * wp].reshape(g, gi, hp, wp)[:, :, ph : ph + h, pw : pw + w] = x.reshape(g, gi, h, w)
+    y = np.zeros((g, kernel.c_out // g, h * wp))
     for dy in range(kh):
         for dx in range(kw):
-            y += taps[dy, dx] @ xp[:, :, dy : dy + h, dx : dx + w].reshape(g, gi, h * w)
-    return y.reshape(kernel.c_out, h, w)
+            start = dy * wp + dx
+            y += taps[dy, dx] @ xp[:, :, start : start + h * wp]
+    return np.ascontiguousarray(y.reshape(kernel.c_out, h, wp)[:, :, :w])
 
 
 def conv_as_matrix(kernel: ConvKernel, h: int, w: int) -> np.ndarray:
@@ -142,7 +150,8 @@ def conv_exponential(l: ConvKernel, x: np.ndarray, terms: int) -> np.ndarray:
     acc = np.asarray(x, dtype=np.float64).copy()
     term = acc.copy()
     for t in range(1, terms + 1):
-        term = grouped_conv(l, term) / t
+        term = grouped_conv(l, term)
+        term /= t
         acc += term
     return acc
 
@@ -184,8 +193,6 @@ def gs_conv_forward(layer: GSConvLayer, x: np.ndarray, terms: Optional[int] = No
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != layer.channels:
         raise ValueError(f"expected {layer.channels} channels, got {x.shape[0]}")
-    if x.shape[0] % (2 * layer.kernel1.groups):
-        raise ValueError("channels must be divisible by 2 * groups for the paired shuffle")
     t = terms if terms is not None else layer.exp_terms
     y = conv_exponential(layer.kernel1, _shuffle_channels(layer.shuffle1, x), t)
     if layer.kernel2 is not None:
@@ -197,6 +204,8 @@ def layer_jacobian(layer: GSConvLayer, h: int, w: int, terms: Optional[int] = No
     """Materialize the layer's Jacobian by applying it to all basis tensors."""
     c = layer.channels
     d = c * h * w
+    if d > _MATRIX_SIZE_CAP:
+        raise ValueError(f"layer_jacobian size cap {_MATRIX_SIZE_CAP} exceeded")
     jac = np.zeros((d, d))
     for j in range(d):
         e = np.zeros(d)

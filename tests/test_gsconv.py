@@ -59,12 +59,23 @@ def test_grouped_conv_matches_materialized_matrix():
         for _ in range(3):
             x = rng.standard_normal((c_in, h, w))
             np.testing.assert_allclose(grouped_conv(k, x).ravel(), m @ x.ravel(), atol=1e-12)
-    # Kernels assembled group by group, without random_grouped_kernel.
-    for groups, (c_out, c_in), (kh, kw) in [
-        (2, (6, 4), (3, 3)),  # c_out != c_in with several groups
-        (2, (4, 6), (3, 5)),  # non-square kernel
-        (2, (4, 4), (1, 1)),
-        (6, (6, 6), (3, 3)),  # depthwise: one channel per group
+    # Kernels assembled group by group, without random_grouped_kernel, on
+    # geometries that reach every edge of the flattened padded layout.
+    for groups, (c_out, c_in), (kh, kw), (h, w) in [
+        (2, (6, 4), (3, 3), (4, 5)),  # c_out != c_in with several groups
+        (2, (4, 6), (3, 5), (4, 5)),  # non-square kernel
+        (2, (4, 4), (5, 3), (4, 5)),
+        (2, (4, 4), (3, 1), (4, 5)),
+        (2, (4, 4), (1, 3), (4, 5)),
+        (2, (4, 4), (1, 1), (4, 5)),
+        (2, (6, 4), (1, 1), (3, 2)),  # 1x1 with c_out != c_in
+        (6, (6, 6), (3, 3), (4, 5)),  # depthwise: one channel per group
+        (4, (4, 4), (1, 3), (2, 3)),  # depthwise 1x3
+        (1, (2, 3), (5, 5), (1, 1)),  # image smaller than the kernel
+        (2, (4, 4), (7, 7), (2, 2)),
+        (1, (3, 2), (3, 3), (1, 5)),  # one-row and one-column images
+        (2, (4, 4), (5, 3), (4, 1)),
+        (2, (4, 4), (3, 3), (0, 4)),  # empty image
     ]:
         weights = np.zeros((c_out, c_in, kh, kw))
         go, gi = c_out // groups, c_in // groups
@@ -72,10 +83,31 @@ def test_grouped_conv_matches_materialized_matrix():
             block = rng.standard_normal((go, gi, kh, kw))
             weights[g * go : (g + 1) * go, g * gi : (g + 1) * gi] = block
         k = ConvKernel(weights, groups)
-        h, w = 4, 5
         m = conv_as_matrix(k, h, w)
         x = rng.standard_normal((c_in, h, w))
-        np.testing.assert_allclose(grouped_conv(k, x).ravel(), m @ x.ravel(), atol=1e-12)
+        y = grouped_conv(k, x)
+        assert y.shape == (c_out, h, w) and y.flags.c_contiguous
+        np.testing.assert_allclose(y.ravel(), m @ x.ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("groups, k", [(8, 3), (16, 1)])
+@pytest.mark.parametrize("size", [16, 32])
+def test_grouped_conv_matches_per_tap_reference_at_benchmark_size(groups, k, size):
+    # 64 channels on 16x16 or 32x32 is past conv_as_matrix's cap: sum the taps
+    # of the dense kernel over a zero-padded copy instead.
+    rng = np.random.default_rng(15)
+    kern = random_grouped_kernel(64, 64, k, groups, rng)
+    x = rng.standard_normal((64, size, size))
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    expect = sum(
+        np.einsum("oi,ihw->ohw", kern.weights[:, :, dy, dx], xp[:, dy : dy + size, dx : dx + size])
+        for dy in range(k)
+        for dx in range(k)
+    )
+    y = grouped_conv(kern, x)
+    assert y.shape == x.shape and y.flags.c_contiguous
+    np.testing.assert_allclose(y, expect, atol=1e-12)
 
 
 def test_cross_group_entries_rejected():
@@ -223,10 +255,20 @@ def test_plain_stride_shuffle_breaks_pairs():
 
 def test_forward_linear_in_input_matches_jacobian():
     rng = np.random.default_rng(12)
-    layer = make_layer(4, 2, None, exp_terms=8, rng=rng, kernel_scale=0.3)
-    jac = layer_jacobian(layer, 3, 3)
-    x = rng.standard_normal((4, 3, 3))
-    np.testing.assert_allclose(gs_conv_forward(layer, x).ravel(), jac @ x.ravel(), atol=1e-12)
+    # 12 channels in 4 groups with a plain stride shuffle: 2 * groups need not
+    # divide the channel count when no channels are paired.
+    for channels, groups, terms, shuffle in [(4, 2, 8, "paired"), (12, 4, 3, "plain")]:
+        layer = make_layer(channels, groups, None, exp_terms=terms, rng=rng, shuffle=shuffle, kernel_scale=0.3)
+        jac = layer_jacobian(layer, 3, 3)
+        x = rng.standard_normal((channels, 3, 3))
+        np.testing.assert_allclose(gs_conv_forward(layer, x).ravel(), jac @ x.ravel(), atol=1e-12)
+
+
+def test_layer_jacobian_size_cap():
+    # 8 x 64 x 64 would be a 32768^2 matrix and 32768 forward passes.
+    layer = make_layer(8, 4, None, 3, np.random.default_rng(17))
+    with pytest.raises(ValueError, match="size cap"):
+        layer_jacobian(layer, 64, 64)
 
 
 def test_config_roundtrip():
