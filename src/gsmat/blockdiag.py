@@ -7,6 +7,7 @@ generators A with K = A - A^T, so gradients flow through skew projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import attrgetter
@@ -55,11 +56,11 @@ class BlockDiagonal:
 
     @property
     def rows(self) -> int:
-        return sum(self.block_rows)
+        return sum(k * b1 for k, b1, _ in (run.shape for run in self._runs))
 
     @property
     def cols(self) -> int:
-        return sum(self.block_cols)
+        return sum(k * b2 for k, _, b2 in (run.shape for run in self._runs))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Blockwise matvec (or matmat on the leading axis)."""
@@ -75,7 +76,7 @@ class BlockDiagonal:
 
     def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
         """One batched matmul per run: (k, b1, b2) @ (k, b2, width) on x's slice."""
-        width = int(np.prod(x.shape[1:], dtype=np.int64))
+        width = math.prod(x.shape[1:])
         out, lo = [], 0
         for run in self._runs:
             if transpose:

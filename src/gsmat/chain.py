@@ -102,7 +102,7 @@ def support_mask(b: int, r: int, interior_perms: Sequence[Permutation], m: int) 
     for p in interior_perms:
         if p.n != d:
             raise ValueError(f"interior permutation dimension {p.n} != {d}")
-        mask = _block_reach(mask[np.argsort(p.sigma)], b, r)
+        mask = _block_reach(p.apply(mask), b, r)
     return mask
 
 

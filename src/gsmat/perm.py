@@ -27,38 +27,41 @@ class Permutation:
     """A bijection on {0, ..., n-1}, immutable after construction."""
 
     sigma: np.ndarray = field(repr=False)
+    # The inverse permutation, argsort(sigma), computed once at construction.
+    _inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma)
         if sigma.size and sigma.dtype.kind not in "iu":
             raise ValueError(f"sigma must hold integers, got dtype {sigma.dtype}")
-        sigma = sigma.astype(np.int64, copy=False)
-        object.__setattr__(self, "sigma", sigma)
-        if sigma.ndim != 1 or not np.array_equal(np.sort(sigma), np.arange(sigma.size)):
+        # A private copy, so later writes to the caller's array cannot reach it.
+        sigma = sigma.astype(np.int64)
+        if sigma.ndim != 1 or not np.array_equal(sigma[inv := np.argsort(sigma)], np.arange(sigma.size)):
             raise ValueError("sigma is not a bijection on {0..n-1}")
+        sigma.flags.writeable = inv.flags.writeable = False
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_inv", inv)
 
     @property
     def n(self) -> int:
         return self.sigma.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return P x, scattering entry i to position sigma[i]."""
+        """Return P x, gathering entry inv[j] into position j (inv = sigma^{-1})."""
         x = np.asarray(x)
         if x.shape[0] != self.n:
             raise ValueError(f"length mismatch: expected {self.n}, got {x.shape[0]}")
-        y = np.empty_like(x)
-        y[self.sigma] = x
-        return y
+        return np.take(x, self._inv, axis=0)
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
-        """Return P^T x (gather)."""
+        """Return P^T x, gathering entry sigma[j] into position j."""
         x = np.asarray(x)
         if x.shape[0] != self.n:
             raise ValueError(f"length mismatch: expected {self.n}, got {x.shape[0]}")
-        return x[self.sigma]
+        return np.take(x, self.sigma, axis=0)
 
     def invert(self) -> "Permutation":
-        return Permutation(np.argsort(self.sigma))
+        return Permutation(self._inv)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return the permutation p with p.apply(x) == self.apply(other.apply(x))."""
@@ -129,7 +132,7 @@ def perm_cols(p: Permutation, m: np.ndarray) -> np.ndarray:
 
 
 def perm_cols_t(p: Permutation, m: np.ndarray) -> np.ndarray:
-    """M @ P^T, gathered through the inverse permutation."""
+    """M @ P^T, gathered through the cached inverse permutation."""
     if m.shape[1] != p.n:
         raise ValueError(f"column count mismatch: expected {p.n}, got {m.shape[1]}")
-    return np.take(m, np.argsort(p.sigma), axis=1)
+    return np.take(m, p._inv, axis=1)

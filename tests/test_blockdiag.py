@@ -50,7 +50,7 @@ _block_runs = st.lists(
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(runs=_block_runs, trailing=st.sampled_from([(), (3,), (2, 3)]), seed=st.integers(0, 2**16))
+@given(runs=_block_runs, trailing=st.sampled_from([(), (3,), (2, 3), (0,), (2, 0)]), seed=st.integers(0, 2**16))
 def test_apply_matches_dense_for_mixed_runs(runs, trailing, seed):
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((b1, b2)) for k, b1, b2 in runs for _ in range(k)]
@@ -68,9 +68,28 @@ def test_apply_matches_dense_for_mixed_runs(runs, trailing, seed):
     np.testing.assert_allclose(got_t, np.tensordot(dense.T, y, 1), atol=1e-12)
 
 
+def _mixed_shape_blocks(rng):
+    # Three runs: two 2x3 blocks, one 4x4 block, one 1x2 block.
+    return BlockDiagonal(tuple(rng.standard_normal(s) for s in ((2, 3), (2, 3), (4, 4), (1, 2))))
+
+
+def test_shapes_on_mixed_runs():
+    bd = _mixed_shape_blocks(np.random.default_rng(7))
+    assert bd.block_rows == [2, 2, 4, 1]
+    assert bd.block_cols == [3, 3, 4, 2]
+    assert (bd.rows, bd.cols) == (9, 12)
+    assert type(bd.rows) is int and type(bd.cols) is int
+    assert bd.as_dense().shape == (9, 12)
+    t = bd.transpose()
+    assert (t.rows, t.cols, t.block_rows) == (12, 9, [3, 3, 4, 2])
+
+
 def test_apply_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         BlockDiagonal((np.eye(2),)).apply(np.zeros(3))
+    bd = _mixed_shape_blocks(np.random.default_rng(9))
+    with pytest.raises(ValueError, match="expected 9, got 12"):
+        bd.apply_t(np.zeros(12))
 
 
 def test_cayley_zero_is_identity():

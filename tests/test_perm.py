@@ -71,7 +71,7 @@ def test_apply_length_mismatch():
 
 
 def test_bijection_rejected():
-    with pytest.raises(ValueError, match="bijection"):
+    with pytest.raises(ValueError, match=r"sigma is not a bijection on \{0\.\.n-1\}"):
         Permutation(np.array([0, 0, 1]))
 
 
@@ -144,6 +144,89 @@ def test_matrix_helpers_match_dense_products():
     np.testing.assert_array_equal(perm_cols_t(p, wide), wide @ d.T)
     with pytest.raises(ValueError, match="column count"):
         perm_cols_t(p, wide.T)
+
+
+def _leading_axis_inputs(n, rng):
+    """Arrays with n entries on axis 0, including zero-width and non-contiguous ones."""
+    return {
+        "1-D": rng.standard_normal(n),
+        "2-D": rng.standard_normal((n, 4)),
+        "3-D": rng.standard_normal((n, 3, 2)),
+        "zero-width": np.zeros((n, 0)),
+        "transposed": rng.standard_normal((5, n)).T,
+        "strided": rng.standard_normal((2 * n, 6))[::2, ::3],
+    }
+
+
+def _dense_products(p, x):
+    """(P x, P^T x, M P, M P^T) from the dense P, with M = x with axes 0 and 1 swapped."""
+    d = p.as_dense().astype(x.dtype)
+    m = np.moveaxis(x, 0, 1) if x.ndim > 1 else x[None]
+    cols = "ai...,ij->aj..."
+    return m, (np.tensordot(d, x, 1), np.tensordot(d.T, x, 1), np.einsum(cols, m, d), np.einsum(cols, m, d.T))
+
+
+@pytest.mark.parametrize("case", ["1-D", "2-D", "3-D", "zero-width", "transposed", "strided"])
+def test_apply_and_column_helpers_match_dense_products(case):
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 16):
+        p = Permutation(rng.permutation(n))
+        x = _leading_axis_inputs(n, rng)[case]
+        m, want = _dense_products(p, x)
+        got = (p.apply(x), p.apply_inverse(x), perm_cols(p, m), perm_cols_t(p, m))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.bool_, np.complex128])
+def test_apply_and_column_helpers_keep_dtype(dtype):
+    rng = np.random.default_rng(5)
+    p = Permutation(rng.permutation(7))
+    x = (rng.integers(-3, 4, size=(7, 3)) + (1j if dtype is np.complex128 else 0)).astype(dtype)
+    m, want = _dense_products(p, x)
+    got = (p.apply(x), p.apply_inverse(x), perm_cols(p, m), perm_cols_t(p, m))
+    for g, w in zip(got, want):
+        assert g.dtype == dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def test_apply_bit_identical_to_scatter():
+    rng = np.random.default_rng(6)
+    p = Permutation(rng.permutation(64))
+    for x in _leading_axis_inputs(64, rng).values():
+        want = np.empty_like(x)
+        want[p.sigma] = x
+        assert p.apply(x).tobytes() == want.tobytes()
+        assert p.apply_inverse(want).tobytes() == x.tobytes()
+
+
+def test_caller_array_writes_do_not_reach_permutation():
+    a = np.array([1, 0, 2])
+    p = Permutation(a)
+    a[0] = 0
+    np.testing.assert_array_equal(p.apply(np.array([10.0, 20.0, 30.0])), [20.0, 10.0, 30.0])
+    np.testing.assert_array_equal(p.sigma, [1, 0, 2])
+    np.testing.assert_array_equal(p.invert().sigma, [1, 0, 2])
+    with pytest.raises(ValueError, match="read-only"):
+        p.sigma[0] = 0
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [[0, 1, 3], [-1, 0, 1], [[0, 1], [1, 0]], [[0]]],
+    ids=["out-of-range", "negative", "2-D", "2-D-singleton"],
+)
+def test_out_of_range_and_2d_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match=r"sigma is not a bijection on \{0\.\.n-1\}"):
+        Permutation(np.array(sigma))
+
+
+def test_empty_permutation():
+    p = Permutation(np.array([], dtype=np.int64))
+    assert p.n == 0 and p.is_identity()
+    assert p.apply(np.zeros((0, 3))).shape == (0, 3)
+    assert p.invert().n == 0
 
 
 def test_json_roundtrip():
