@@ -6,7 +6,6 @@ from .blockdiag import BlockDiagonal, SkewGenerators, cayley, cayley_blockdiag, 
 from .chain import (
     GSChain,
     butterfly_min_factors,
-    chain_from_gs,
     flop_count,
     min_factors_dense,
     monarch_member,

@@ -26,13 +26,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDiagonal:
     """Ordered dense blocks along the diagonal; immutable."""
 
     blocks: tuple = field(repr=False)
     # Maximal runs of consecutive equal-shape blocks, each one (k, b1, b2) stack.
-    _runs: tuple = field(init=False, repr=False, compare=False)
+    _runs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = [np.asarray(b, dtype=np.float64) for b in self.blocks]
@@ -100,7 +100,7 @@ class BlockDiagonal:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewGenerators:
     """Free square generators A_i; the skew factors are K_i = A_i - A_i^T."""
 

@@ -9,17 +9,17 @@ computes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .blockdiag import BlockDiagonal
-from .gs import GSClassSpec
-from .perm import Permutation, identity_perm
+from .perm import Permutation
+
+if TYPE_CHECKING:
+    from .gs import GSClassSpec
 
 __all__ = [
     "GSChain",
-    "chain_from_gs",
     "support_mask",
     "min_factors_dense",
     "butterfly_min_factors",
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GSChain:
     """Ordered factors (B_i, P_i), i = 1..m, plus the outer permutation."""
 
@@ -71,13 +71,18 @@ class GSChain:
             x = b.apply(p.apply(x))
         return self.p_out.apply(x)
 
+    def apply_t(self, x: np.ndarray) -> np.ndarray:
+        """The transposed chain P_1^T B_1^T ... P_m^T B_m^T P_out^T x."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] != self.out_dim:
+            raise ValueError(f"length mismatch: expected {self.out_dim}, got {x.shape[0]}")
+        x = self.p_out.apply_inverse(x)
+        for b, p in reversed(self.factors):
+            x = p.apply_inverse(b.apply_t(x))
+        return x
+
     def as_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.in_dim))
-
-
-def chain_from_gs(spec: GSClassSpec, l: BlockDiagonal, r: BlockDiagonal) -> GSChain:
-    """The m=2 chain equal to the GS matrix P_L (L P R) P_R."""
-    return GSChain(((r, spec.P_R), (l, spec.P)), spec.P_L)
 
 
 def _block_reach(mask: np.ndarray, b: int, r: int) -> np.ndarray:

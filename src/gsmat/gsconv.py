@@ -35,7 +35,7 @@ __all__ = [
 _MATRIX_SIZE_CAP = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvKernel:
     """c_out x c_in x k_h x k_w kernel with block (grouped) channel structure."""
 
@@ -156,7 +156,7 @@ def conv_exponential(l: ConvKernel, x: np.ndarray, terms: int) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GSConvLayer:
     """Channel shuffle + grouped exponential convolution, one or two stages."""
 

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GSOFTAdapter:
     """Frozen W0 (d x n) with a learnable structured orthogonal Q (d x d)."""
 
@@ -60,7 +60,7 @@ class GSOFTAdapter:
 
     def merge(self) -> np.ndarray:
         """Dense merged weight scale * Q @ W0; forward equals merged^T x."""
-        return self.scale * (materialize(self.q).as_dense() @ self.W0)
+        return self.scale * materialize(self.q).apply(self.W0)
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray):
         """Gradients of <grad_out, forward(x)> w.r.t. generators and scale.
@@ -75,7 +75,7 @@ class GSOFTAdapter:
         return {"gen_L": grads_l, "gen_R": grads_r, "scale": grad_scale}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleGSOFTAdapter:
     """Two-sided variant: forward is scale * (Q_U W0 Q_V)^T x."""
 
@@ -111,9 +111,9 @@ class DoubleGSOFTAdapter:
         return self.scale * materialize(self.q_V).apply_t(self.W0.T @ t)
 
     def merge(self) -> np.ndarray:
-        qu = materialize(self.q_U).as_dense()
-        qv = materialize(self.q_V).as_dense()
-        return self.scale * (qu @ self.W0 @ qv)
+        """Dense merged weight scale * Q_U @ W0 @ Q_V, through the structured products."""
+        w0_qv = materialize(self.q_V).apply_t(self.W0.T).T
+        return self.scale * materialize(self.q_U).apply(w0_qv)
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray):
         """As GSOFTAdapter.backward, for both sides; x may be a (d, n) batch."""
@@ -156,19 +156,17 @@ def _descend(theta, q_of, step, target: np.ndarray, steps: int):
     """Gradient descent on ||Q - target||_F^2 with Q = q_of(theta).
 
     step(theta, G) takes one descent step given the loss gradient G at Q.
-    Returns (theta, losses, orthogonality residuals); raises on divergence.
+    Returns (theta, losses); raises on divergence.
     """
-    losses, residuals = [], []
+    losses = []
     for _ in range(steps):
-        q = q_of(theta)
-        diff = q - target
+        diff = q_of(theta) - target
         loss = float(np.sum(diff * diff))
         if not np.isfinite(loss):
             raise RuntimeError("training diverged (loss is not finite); try a smaller lr")
         losses.append(loss)
-        residuals.append(is_orthogonal(q, np.inf)[1])
         theta = step(theta, 2.0 * diff)
-    return theta, losses, residuals
+    return theta, losses
 
 
 def fit_orthogonal_target(spec: GSClassSpec, target: np.ndarray, steps: int, lr: float):
@@ -191,7 +189,15 @@ def fit_orthogonal_target(spec: GSClassSpec, target: np.ndarray, steps: int, lr:
             gen_R=_update_gens(params.gen_R, grads_r, lr),
         )
 
-    return _descend(OrthoGSParams.zeros(spec), lambda p: materialize(p).as_dense(), step, target, steps)
+    residuals = []
+
+    def q_of(params):
+        q = materialize(params).as_dense()
+        residuals.append(is_orthogonal(q, np.inf)[1])
+        return q
+
+    params, losses = _descend(OrthoGSParams.zeros(spec), q_of, step, target, steps)
+    return params, losses, residuals
 
 
 def fit_blockdiag_target(d: int, b: int, target: np.ndarray, steps: int, lr: float):
@@ -203,17 +209,15 @@ def fit_blockdiag_target(d: int, b: int, target: np.ndarray, steps: int, lr: flo
     if d % b != 0:
         raise ValueError(f"block size {b} must divide dimension {d}")
     target = np.asarray(target, dtype=np.float64)
+    k = d // b
+    diag = np.arange(k)
 
     def step(gens, grad_q):
-        grads = [
-            cayley_vjp(a, grad_q[i * b : (i + 1) * b, i * b : (i + 1) * b])
-            for i, a in enumerate(gens.gens)
-        ]
-        return _update_gens(gens, grads, lr)
+        blocks = grad_q.reshape(k, b, k, b)[diag, :, diag]
+        return _update_gens(gens, [cayley_vjp(a, g) for a, g in zip(gens.gens, blocks)], lr)
 
-    gens = SkewGenerators.zeros([b] * (d // b))
-    gens, losses, _ = _descend(gens, lambda g: cayley_blockdiag(g).as_dense(), step, target, steps)
-    return gens, losses
+    gens = SkewGenerators.zeros([b] * k)
+    return _descend(gens, lambda g: cayley_blockdiag(g).as_dense(), step, target, steps)
 
 
 def _w0_hash(w0: np.ndarray) -> str:

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthoGSParams:
     """Skew generators for the L and R blocks of a square, square-block spec."""
 

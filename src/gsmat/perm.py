@@ -22,13 +22,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
     """A bijection on {0, ..., n-1}, immutable after construction."""
 
     sigma: np.ndarray = field(repr=False)
     # The inverse permutation, argsort(sigma), computed once at construction.
-    _inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma)
@@ -41,6 +41,10 @@ class Permutation:
         sigma.flags.writeable = inv.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_inv", inv)
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild through __post_init__, so copies stay read-only.
+        return Permutation, (self.sigma,)
 
     @property
     def n(self) -> int:

@@ -6,8 +6,8 @@ import pytest
 from gsmat import (
     GSChain,
     GSClassSpec,
+    GSMatrix,
     butterfly_min_factors,
-    chain_from_gs,
     flop_count,
     min_factors_dense,
     monarch_member,
@@ -51,13 +51,28 @@ def test_chain_validates_boundaries():
         GSChain((), identity_perm(4))
 
 
-def test_chain_from_gs_equals_gs_matrix():
+def test_chain_apply_t_matches_dense_transpose():
+    rng = np.random.default_rng(10)
+    for b, r, m in [(3, 4, 3), (2, 4, 1), (4, 2, 2)]:
+        chain = _random_chain(rng, b, r, m)
+        dense = chain.as_dense()
+        x = rng.standard_normal((b * r, 5))
+        np.testing.assert_allclose(chain.apply_t(x), dense.T @ x, atol=1e-12)
+        np.testing.assert_allclose(chain.apply_t(np.eye(b * r)), dense.T, atol=1e-13)
+    with pytest.raises(ValueError, match="length mismatch"):
+        chain.apply_t(np.zeros(b * r + 1))
+
+
+def test_gs_matrix_is_its_two_factor_chain():
+    assert "apply" not in vars(GSMatrix) and "apply_t" not in vars(GSMatrix)
     rng = np.random.default_rng(17)
     for _ in range(15):
         spec = random_spec(rng)
         a = random_member(spec, rng)
-        chain = chain_from_gs(spec, a.L, a.R)
-        np.testing.assert_allclose(chain.as_dense(), a.as_dense(), atol=1e-13)
+        assert isinstance(a, GSChain)
+        # The generic chain path (apply to the identity) against GSMatrix's override.
+        np.testing.assert_allclose(GSChain.as_dense(a), a.as_dense(), atol=1e-13)
+        np.testing.assert_allclose(a.apply_t(np.eye(spec.m)), a.as_dense().T, atol=1e-13)
 
 
 def test_support_mask_matches_exact_nonzero_pattern():

@@ -54,6 +54,11 @@ def test_container_roundtrip_all_kinds(tmp_path):
         save_container(loaded, p2)
         # Save -> load -> save is bit-identical.
         assert _sha(p1) == _sha(p2), name
+        # A GSMatrix is also a GSChain, and must still be saved and loaded as kind "gs".
+        data = Path(p1).read_bytes()
+        header = json.loads(data[8 : 8 + int.from_bytes(data[4:8], "little")])
+        assert header["kind"] == {"perm": "permutation"}.get(name, name)
+        assert type(loaded) is type(obj), name
         if isinstance(obj, np.ndarray):
             np.testing.assert_array_equal(loaded, obj)
         elif isinstance(obj, Permutation):

@@ -275,3 +275,13 @@ def test_project_optimality_vs_random_members_and_perturbations():
         l = BlockDiagonal(tuple(blk + 1e-3 * rng.standard_normal(blk.shape) for blk in b.L.blocks))
         r = BlockDiagonal(tuple(blk + 1e-3 * rng.standard_normal(blk.shape) for blk in b.R.blocks))
         assert np.linalg.norm(a - GSMatrix(sp, l, r).as_dense()) >= err - 1e-12
+
+
+def test_array_holding_objects_compare_by_identity_and_hash():
+    rng = np.random.default_rng(4)
+    spec = random_spec(rng)
+    for make in (lambda: stride_perm(2, 4), lambda: BlockDiagonal((np.eye(2),)), lambda: random_member(spec, rng)):
+        a, b = make(), make()
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -248,3 +251,14 @@ def test_json_roundtrip():
 def test_json_rejects_malformed(text):
     with pytest.raises(ValueError):
         Permutation.from_json(text)
+
+
+def test_pickled_and_deepcopied_permutations_stay_read_only():
+    p = stride_perm(3, 12)
+    x = np.arange(12.0)
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert not q.sigma.flags.writeable and not q._inv.flags.writeable
+        with pytest.raises(ValueError):
+            q.sigma[0] = 1
+        np.testing.assert_array_equal(q.apply(x), p.apply(x))
+        np.testing.assert_array_equal(q.apply_inverse(x), p.apply_inverse(x))
