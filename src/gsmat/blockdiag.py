@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -26,102 +24,96 @@ __all__ = [
 ]
 
 
+def _readonly_stack(arrays, what: str) -> np.ndarray:
+    """A read-only float64 (k, b1, b2) copy of k >= 1 equal-shape matrices."""
+    try:
+        stack = np.array(arrays, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{what} must be numeric matrices that share one shape: {exc}") from exc
+    if stack.ndim != 3 or not stack.shape[0]:
+        raise ValueError(f"{what} must be a nonempty sequence of 2-D arrays")
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class BlockDiagonal:
-    """Ordered dense blocks along the diagonal; immutable."""
+    """k equal-shape dense blocks along the diagonal; immutable."""
 
     blocks: tuple = field(repr=False)
-    # Maximal runs of consecutive equal-shape blocks, each one (k, b1, b2) stack.
-    _runs: tuple = field(init=False, repr=False)
+    # The blocks as one read-only (k, b1, b2) array; blocks holds its 2-D views.
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = [np.asarray(b, dtype=np.float64) for b in self.blocks]
-        runs = [np.array(list(run)) for _, run in groupby(blocks, key=attrgetter("shape"))]
-        if not runs or any(run.ndim != 3 for run in runs):
-            raise ValueError("blocks must be a nonempty sequence of 2-D arrays")
-        object.__setattr__(self, "_runs", tuple(runs))
-        object.__setattr__(self, "blocks", tuple(chain.from_iterable(runs)))
+        stack = _readonly_stack(self.blocks, "blocks")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "blocks", tuple(stack))
 
-    @classmethod
-    def identity(cls, sizes: Sequence[int]) -> "BlockDiagonal":
-        return cls(tuple(np.eye(b) for b in sizes))
-
-    @property
-    def block_rows(self) -> list:
-        return [b.shape[0] for b in self.blocks]
-
-    @property
-    def block_cols(self) -> list:
-        return [b.shape[1] for b in self.blocks]
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild through __post_init__, so copies stay read-only.
+        return BlockDiagonal, (self.stack,)
 
     @property
     def rows(self) -> int:
-        return sum(k * b1 for k, b1, _ in (run.shape for run in self._runs))
+        k, b1, _ = self.stack.shape
+        return k * b1
 
     @property
     def cols(self) -> int:
-        return sum(k * b2 for k, _, b2 in (run.shape for run in self._runs))
+        k, _, b2 = self.stack.shape
+        return k * b2
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Blockwise matvec (or matmat on the leading axis)."""
+        """Blockwise matvec (or matmat on the leading axis): one batched matmul."""
         if x.shape[0] != self.cols:
             raise ValueError(f"length mismatch: expected {self.cols}, got {x.shape[0]}")
-        return self._product(x, transpose=False)
+        return _product(self.stack, x)
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Transposed blockwise matvec."""
         if x.shape[0] != self.rows:
             raise ValueError(f"length mismatch: expected {self.rows}, got {x.shape[0]}")
-        return self._product(x, transpose=True)
-
-    def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """One batched matmul per run: (k, b1, b2) @ (k, b2, width) on x's slice."""
-        width = math.prod(x.shape[1:])
-        out, lo = [], 0
-        for run in self._runs:
-            if transpose:
-                run = run.transpose(0, 2, 1)
-            k, b1, b2 = run.shape
-            y = run @ x[lo : lo + k * b2].reshape(k, b2, width)
-            out.append(y.reshape(k * b1, *x.shape[1:]))
-            lo += k * b2
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return _product(self.stack.transpose(0, 2, 1), x)
 
     def transpose(self) -> "BlockDiagonal":
-        return BlockDiagonal(tuple(b.T for b in self.blocks))
+        return BlockDiagonal(self.stack.transpose(0, 2, 1))
 
     def as_dense(self) -> np.ndarray:
-        m = np.zeros((self.rows, self.cols))
-        r = c = 0
-        for b in self.blocks:
-            m[r : r + b.shape[0], c : c + b.shape[1]] = b
-            r += b.shape[0]
-            c += b.shape[1]
-        return m
+        k, b1, b2 = self.stack.shape
+        m = np.zeros((k, b1, k, b2))
+        ar = np.arange(k)
+        m[ar, :, ar] = self.stack
+        return m.reshape(k * b1, k * b2)
+
+
+def _product(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(k, b1, b2) @ (k, b2, width) on x's leading axis, reshaped back."""
+    k, b1, b2 = stack.shape
+    y = stack @ x.reshape(k, b2, math.prod(x.shape[1:]))
+    return y.reshape(k * b1, *x.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
 class SkewGenerators:
-    """Free square generators A_i; the skew factors are K_i = A_i - A_i^T."""
+    """Free square generators A_i as one read-only (k, b, b) array; K_i = A_i - A_i^T."""
 
-    gens: tuple = field(repr=False)
+    gens: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        gens = tuple(np.asarray(a, dtype=np.float64) for a in self.gens)
-        if not gens or any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in gens):
+        gens = _readonly_stack(self.gens, "generators")
+        if gens.shape[1] != gens.shape[2]:
             raise ValueError("generators must be square matrices")
         object.__setattr__(self, "gens", gens)
 
+    def __reduce__(self):
+        return SkewGenerators, (self.gens,)
+
     @classmethod
-    def zeros(cls, sizes: Sequence[int]) -> "SkewGenerators":
-        return cls(tuple(np.zeros((b, b)) for b in sizes))
+    def zeros(cls, k: int, b: int) -> "SkewGenerators":
+        return cls(np.zeros((k, b, b)))
 
-    @property
-    def sizes(self) -> list:
-        return [a.shape[0] for a in self.gens]
-
-    def skew(self) -> list:
-        return [a - a.T for a in self.gens]
+    def skew(self) -> np.ndarray:
+        return self.gens - self.gens.transpose(0, 2, 1)
 
 
 def cayley(k: np.ndarray) -> np.ndarray:
@@ -136,7 +128,7 @@ def cayley(k: np.ndarray) -> np.ndarray:
 
 def cayley_blockdiag(g: SkewGenerators) -> BlockDiagonal:
     """Apply the Cayley map per block; zero generators give identity blocks."""
-    return BlockDiagonal(tuple(cayley(a - a.T) for a in g.gens))
+    return BlockDiagonal([cayley(k) for k in g.skew()])
 
 
 def cayley_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -158,19 +150,16 @@ def cayley_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def pack_skew_triu(g: SkewGenerators) -> list:
     """Strict upper triangles of K_i = A_i - A_i^T, for serialization."""
-    out = []
-    for k in g.skew():
-        iu = np.triu_indices(k.shape[0], 1)
-        out.append(k[iu].tolist())
-    return out
+    rows, cols = np.triu_indices(g.gens.shape[1], 1)
+    return g.skew()[:, rows, cols].tolist()
 
-def unpack_skew_triu(packed: Sequence[Sequence[float]], sizes: Sequence[int]) -> SkewGenerators:
+
+def unpack_skew_triu(packed: Sequence[Sequence[float]], k: int, b: int) -> SkewGenerators:
     """Inverse of pack_skew_triu up to the skew projection A - A^T."""
-    if len(packed) != len(sizes):
-        raise ValueError(f"expected {len(sizes)} packed generators, got {len(packed)}")
-    gens = []
-    for vals, b in zip(packed, sizes):
-        a = np.zeros((b, b))
-        a[np.triu_indices(b, 1)] = vals
-        gens.append(a)
-    return SkewGenerators(tuple(gens))
+    rows, cols = np.triu_indices(b, 1)
+    vals = np.asarray(packed, dtype=np.float64)
+    if vals.shape != (k, rows.size):
+        raise ValueError(f"expected {k} packed generators of {rows.size} entries, got shape {vals.shape}")
+    gens = np.zeros((k, b, b))
+    gens[:, rows, cols] = vals
+    return SkewGenerators(gens)

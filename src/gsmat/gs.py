@@ -32,7 +32,7 @@ _SIZES = ("k_L", "b_L1", "b_L2", "k_R", "b_R1", "b_R2")
 _PERMS = ("P_L", "P", "P_R")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GSClassSpec:
     """Dimensions, block counts/sizes and the three fixed permutations."""
 
@@ -129,9 +129,9 @@ class GSMatrix(GSChain):
 
     def __post_init__(self):
         sp = self.spec
-        if [b.shape for b in self.L.blocks] != [(sp.b_L1, sp.b_L2)] * sp.k_L:
+        if self.L.stack.shape != (sp.k_L, sp.b_L1, sp.b_L2):
             raise ValueError(f"L must have {sp.k_L} blocks of shape ({sp.b_L1}, {sp.b_L2})")
-        if [b.shape for b in self.R.blocks] != [(sp.b_R1, sp.b_R2)] * sp.k_R:
+        if self.R.stack.shape != (sp.k_R, sp.b_R1, sp.b_R2):
             raise ValueError(f"R must have {sp.k_R} blocks of shape ({sp.b_R1}, {sp.b_R2})")
         object.__setattr__(self, "factors", ((self.R, sp.P_R), (self.L, sp.P)))
         object.__setattr__(self, "p_out", sp.P_L)
@@ -170,7 +170,7 @@ def _pairs(ranks: np.ndarray):
 def _gather(a: "GSMatrix"):
     """(ranks, u, v): the L column and R row of every slot, as rows of u and v."""
     ranks, l_slots, r_slots = _routing(a.spec)
-    return ranks, np.stack(a.L.blocks)[l_slots], np.stack(a.R.blocks)[r_slots]
+    return ranks, a.L.stack[l_slots], a.R.stack[r_slots]
 
 
 def _pack(spec: GSClassSpec, u: np.ndarray, v: np.ndarray) -> "GSMatrix":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -149,7 +150,7 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _update_gens(g: SkewGenerators, grads, lr: float) -> SkewGenerators:
-    return SkewGenerators(tuple(a - lr * d for a, d in zip(g.gens, grads)))
+    return SkewGenerators(g.gens - lr * np.asarray(grads))
 
 
 def _descend(theta, q_of, step, target: np.ndarray, steps: int):
@@ -216,7 +217,7 @@ def fit_blockdiag_target(d: int, b: int, target: np.ndarray, steps: int, lr: flo
         blocks = grad_q.reshape(k, b, k, b)[diag, :, diag]
         return _update_gens(gens, [cayley_vjp(a, g) for a, g in zip(gens.gens, blocks)], lr)
 
-    gens = SkewGenerators.zeros([b] * k)
+    gens = SkewGenerators.zeros(k, b)
     return _descend(gens, lambda g: cayley_blockdiag(g).as_dense(), step, target, steps)
 
 
@@ -249,8 +250,13 @@ def load_adapter(path: str, w0: np.ndarray) -> GSOFTAdapter:
         if _w0_hash(w0) != doc["w0_sha256"]:
             raise ValueError("base weight does not match the checkpointed W0 hash")
         spec = GSClassSpec.from_dict(doc["spec"])
-        gen_l = unpack_skew_triu(doc["gen_L_triu"], [spec.b_L1] * spec.k_L)
-        gen_r = unpack_skew_triu(doc["gen_R_triu"], [spec.b_R1] * spec.k_R)
-        return GSOFTAdapter(w0, OrthoGSParams(spec, gen_l, gen_r), doc["scale"])
+        scale, triu_l, triu_r = doc["scale"], doc["gen_L_triu"], doc["gen_R_triu"]
+        entries = [v for row in triu_l + triu_r for v in row]
+        # JSON numbers only: bool is an int subclass, and "0.5" or null would convert.
+        if any(type(v) not in (int, float) for v in [scale, *entries]) or not all(map(math.isfinite, entries)):
+            raise ValueError("GSOFT checkpoint: scale and generator entries must be numbers, the entries finite")
+        gen_l = unpack_skew_triu(triu_l, spec.k_L, spec.b_L1)
+        gen_r = unpack_skew_triu(triu_r, spec.k_R, spec.b_R1)
+        return GSOFTAdapter(w0, OrthoGSParams(spec, gen_l, gen_r), scale)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"GSOFT checkpoint: missing or mistyped field {exc}") from exc

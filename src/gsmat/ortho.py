@@ -37,21 +37,17 @@ class OrthoGSParams:
         sp = self.spec
         if sp.m != sp.n or sp.b_L1 != sp.b_L2 or sp.b_R1 != sp.b_R2:
             raise ValueError("OrthoGSParams requires a square spec with square blocks")
-        if self.gen_L.sizes != [sp.b_L1] * sp.k_L or self.gen_R.sizes != [sp.b_R1] * sp.k_R:
+        if self.gen_L.gens.shape != (sp.k_L, sp.b_L1, sp.b_L1) or self.gen_R.gens.shape != (sp.k_R, sp.b_R1, sp.b_R1):
             raise ValueError("generator sizes do not match the spec's blocks")
 
     @classmethod
     def zeros(cls, spec: GSClassSpec) -> "OrthoGSParams":
-        return cls(
-            spec,
-            SkewGenerators.zeros([spec.b_L1] * spec.k_L),
-            SkewGenerators.zeros([spec.b_R1] * spec.k_R),
-        )
+        return cls(spec, SkewGenerators.zeros(spec.k_L, spec.b_L1), SkewGenerators.zeros(spec.k_R, spec.b_R1))
 
     @classmethod
     def random(cls, spec: GSClassSpec, rng: np.random.Generator, scale: float = 1.0) -> "OrthoGSParams":
-        gl = tuple(scale * rng.standard_normal((spec.b_L1, spec.b_L1)) for _ in range(spec.k_L))
-        gr = tuple(scale * rng.standard_normal((spec.b_R1, spec.b_R1)) for _ in range(spec.k_R))
+        gl = scale * rng.standard_normal((spec.k_L, spec.b_L1, spec.b_L1))
+        gr = scale * rng.standard_normal((spec.k_R, spec.b_R1, spec.b_R1))
         return cls(spec, SkewGenerators(gl), SkewGenerators(gr))
 
 

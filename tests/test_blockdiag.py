@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +18,8 @@ from oracles import central_diff
 
 
 def test_apply_identity_blocks():
-    bd = BlockDiagonal((np.eye(2), np.eye(3)))
-    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    bd = BlockDiagonal((np.eye(2), np.eye(2), np.eye(2)))
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     np.testing.assert_array_equal(bd.apply(x), x)
 
 
@@ -27,8 +30,8 @@ def test_apply_scalar_blocks():
 
 def test_apply_matches_dense_random():
     rng = np.random.default_rng(0)
-    bd = BlockDiagonal((rng.standard_normal((3, 2)), rng.standard_normal((4, 5))))
-    x = rng.standard_normal(7)
+    bd = BlockDiagonal((rng.standard_normal((4, 5)), rng.standard_normal((4, 5))))
+    x = rng.standard_normal(10)
     np.testing.assert_allclose(bd.apply(x), bd.as_dense() @ x, atol=1e-14)
     y = rng.standard_normal(bd.rows)
     np.testing.assert_allclose(bd.apply_t(y), bd.as_dense().T @ y, atol=1e-14)
@@ -37,23 +40,24 @@ def test_apply_matches_dense_random():
 def test_apply_dense_consistency_up_to_64():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        sizes = rng.integers(1, 9, size=rng.integers(1, 9))
-        bd = BlockDiagonal(tuple(rng.standard_normal((b, b)) for b in sizes))
+        k, b = rng.integers(1, 9, size=2)
+        bd = BlockDiagonal(tuple(rng.standard_normal((b, b)) for _ in range(k)))
         x = rng.standard_normal(bd.cols)
         np.testing.assert_allclose(bd.apply(x), bd.as_dense() @ x, atol=1e-14)
 
 
-# Runs of equal-shape blocks, ragged and non-square ones included.
-_block_runs = st.lists(
-    st.tuples(st.integers(1, 4), st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=5
-).filter(lambda runs: any(b1 + b2 for _, b1, b2 in runs))
+# (k, b1, b2) block stacks, empty and non-square blocks included.
+_block_stacks = st.tuples(st.integers(1, 8), st.integers(0, 5), st.integers(0, 5)).filter(
+    lambda kb: kb[1] + kb[2]
+)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(runs=_block_runs, trailing=st.sampled_from([(), (3,), (2, 3), (0,), (2, 0)]), seed=st.integers(0, 2**16))
-def test_apply_matches_dense_for_mixed_runs(runs, trailing, seed):
+@given(kb=_block_stacks, trailing=st.sampled_from([(), (3,), (2, 3), (0,), (2, 0)]), seed=st.integers(0, 2**16))
+def test_apply_matches_dense_for_block_stacks(kb, trailing, seed):
     rng = np.random.default_rng(seed)
-    blocks = [rng.standard_normal((b1, b2)) for k, b1, b2 in runs for _ in range(k)]
+    k, b1, b2 = kb
+    blocks = [rng.standard_normal((b1, b2)) for _ in range(k)]
     bd = BlockDiagonal(tuple(blocks))
     assert len(bd.blocks) == len(blocks)
     for got, want in zip(bd.blocks, blocks):
@@ -68,28 +72,67 @@ def test_apply_matches_dense_for_mixed_runs(runs, trailing, seed):
     np.testing.assert_allclose(got_t, np.tensordot(dense.T, y, 1), atol=1e-12)
 
 
-def _mixed_shape_blocks(rng):
-    # Three runs: two 2x3 blocks, one 4x4 block, one 1x2 block.
-    return BlockDiagonal(tuple(rng.standard_normal(s) for s in ((2, 3), (2, 3), (4, 4), (1, 2))))
+def _nonsquare_blocks(rng):
+    return BlockDiagonal(tuple(rng.standard_normal((2, 3)) for _ in range(4)))
 
 
-def test_shapes_on_mixed_runs():
-    bd = _mixed_shape_blocks(np.random.default_rng(7))
-    assert bd.block_rows == [2, 2, 4, 1]
-    assert bd.block_cols == [3, 3, 4, 2]
-    assert (bd.rows, bd.cols) == (9, 12)
+def test_shapes_on_nonsquare_blocks():
+    bd = _nonsquare_blocks(np.random.default_rng(7))
+    assert bd.stack.shape == (4, 2, 3)
+    assert (bd.rows, bd.cols) == (8, 12)
     assert type(bd.rows) is int and type(bd.cols) is int
-    assert bd.as_dense().shape == (9, 12)
+    assert bd.as_dense().shape == (8, 12)
     t = bd.transpose()
-    assert (t.rows, t.cols, t.block_rows) == (12, 9, [3, 3, 4, 2])
+    assert (t.rows, t.cols, t.stack.shape) == (12, 8, (4, 3, 2))
 
 
 def test_apply_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         BlockDiagonal((np.eye(2),)).apply(np.zeros(3))
-    bd = _mixed_shape_blocks(np.random.default_rng(9))
-    with pytest.raises(ValueError, match="expected 9, got 12"):
+    bd = _nonsquare_blocks(np.random.default_rng(9))
+    with pytest.raises(ValueError, match="expected 8, got 12"):
         bd.apply_t(np.zeros(12))
+
+
+def test_mixed_shapes_are_rejected():
+    with pytest.raises(ValueError, match="share one shape"):
+        BlockDiagonal((np.eye(2), np.eye(3)))
+    with pytest.raises(ValueError, match="share one shape"):
+        BlockDiagonal((np.zeros((2, 3)), np.zeros((3, 2))))
+    with pytest.raises(ValueError, match="share one shape"):
+        SkewGenerators((np.zeros((2, 2)), np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="nonempty"):
+        BlockDiagonal(())
+    with pytest.raises(ValueError, match="square"):
+        SkewGenerators((np.zeros((2, 3)),))
+
+
+def test_blocks_are_read_only_and_private_copies():
+    rng = np.random.default_rng(10)
+    stack = rng.standard_normal((3, 2, 2))
+    bd = BlockDiagonal(stack)
+    from_tuple = BlockDiagonal(tuple(stack))
+    assert len(bd.blocks) == 3
+    np.testing.assert_array_equal(bd.stack, from_tuple.stack)
+    for got, want in zip(bd.blocks, from_tuple.blocks):
+        np.testing.assert_array_equal(got, want)
+    dense = bd.as_dense()
+    g = SkewGenerators(stack)
+    gens = g.gens.copy()
+    stack[0, 0, 1] = 5.0
+    np.testing.assert_array_equal(bd.as_dense(), dense)
+    np.testing.assert_array_equal(g.gens, gens)
+    for copied in (copy.deepcopy(bd), pickle.loads(pickle.dumps(bd))):
+        np.testing.assert_array_equal(copied.as_dense(), dense)
+        assert not copied.stack.flags.writeable and not copied.blocks[0].flags.writeable
+    for copied in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        np.testing.assert_array_equal(copied.gens, gens)
+        assert not copied.gens.flags.writeable
+    for target in (bd.blocks[0], bd.stack, g.gens):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0, 1] = 5.0
+    np.testing.assert_array_equal(bd.as_dense(), dense)
+    np.testing.assert_array_equal(g.gens, gens)
 
 
 def test_cayley_zero_is_identity():
@@ -116,8 +159,8 @@ def test_cayley_rejects_nonfinite():
 
 
 def test_cayley_blockdiag_zero_generators():
-    bd = cayley_blockdiag(SkewGenerators.zeros([2, 3]))
-    np.testing.assert_array_equal(bd.as_dense(), np.eye(5))
+    bd = cayley_blockdiag(SkewGenerators.zeros(2, 3))
+    np.testing.assert_array_equal(bd.as_dense(), np.eye(6))
 
 
 def test_cayley_blockdiag_orthogonal():
@@ -172,7 +215,7 @@ def test_cayley_vjp_shape_mismatch():
 
 def test_pack_unpack_skew_roundtrip():
     rng = np.random.default_rng(7)
-    g = SkewGenerators((rng.standard_normal((4, 4)), rng.standard_normal((3, 3))))
-    restored = unpack_skew_triu(pack_skew_triu(g), g.sizes)
+    g = SkewGenerators((rng.standard_normal((4, 4)), rng.standard_normal((4, 4))))
+    restored = unpack_skew_triu(pack_skew_triu(g), 2, 4)
     for orig, back in zip(g.skew(), restored.skew()):
         np.testing.assert_allclose(back, orig, atol=1e-15)

@@ -117,6 +117,9 @@ MALFORMED_CONTAINERS = {
     "blockdiag-shape-mismatch": _gsm1(
         {"kind": "blockdiag", "shape": [5, 5], "block_shapes": [[1, 1]]}, _dense_bytes(1)
     ),
+    "blockdiag-ragged": _gsm1(
+        {"kind": "blockdiag", "shape": [3, 3], "block_shapes": [[1, 1], [2, 2]]}, _dense_bytes(5)
+    ),
     "chain-factor-not-object": _gsm1({"kind": "chain", "shape": [1, 1], "factors": [3], "p_out": [0]}),
     "gs-spec-perm-n": _gsm1(
         {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsmat import GSClassSpec, GSMatrix, block_rank_map, project, svd_small, to_block_lowrank
+from gsmat import GSClassSpec, GSMatrix, block_rank_map, gsoft_spec, project, svd_small, to_block_lowrank
 from gsmat.blockdiag import BlockDiagonal
 from gsmat.perm import identity_perm, stride_perm
 from oracles import jacobi_eigvals, random_member, random_perm, random_spec
@@ -27,7 +27,7 @@ def test_spec_constraint_validation():
 
 def test_apply_identity_everything():
     sp = GSClassSpec.make(2, 2, 2, 2, 2, 2)
-    a = GSMatrix(sp, BlockDiagonal.identity([2, 2]), BlockDiagonal.identity([2, 2]))
+    a = GSMatrix(sp, BlockDiagonal((np.eye(2), np.eye(2))), BlockDiagonal((np.eye(2), np.eye(2))))
     x = np.arange(4.0)
     np.testing.assert_array_equal(a.apply(x), x)
 
@@ -53,7 +53,7 @@ def test_apply_batched_equals_single():
 
 def test_apply_length_mismatch():
     sp = GSClassSpec.make(2, 2, 2, 2, 2, 2)
-    a = GSMatrix(sp, BlockDiagonal.identity([2, 2]), BlockDiagonal.identity([2, 2]))
+    a = GSMatrix(sp, BlockDiagonal((np.eye(2), np.eye(2))), BlockDiagonal((np.eye(2), np.eye(2))))
     with pytest.raises(ValueError, match="length mismatch"):
         a.apply(np.zeros(5))
 
@@ -124,7 +124,7 @@ def test_project_leaves_unreachable_slots_zero():
 
 def test_to_block_lowrank_identity_case():
     sp = GSClassSpec.make(2, 2, 2, 2, 2, 2)
-    a = GSMatrix(sp, BlockDiagonal.identity([2, 2]), BlockDiagonal.identity([2, 2]))
+    a = GSMatrix(sp, BlockDiagonal((np.eye(2), np.eye(2))), BlockDiagonal((np.eye(2), np.eye(2))))
     for k1, k2, u, v in to_block_lowrank(a):
         assert k1 == k2
         np.testing.assert_array_equal(u @ v.T, np.eye(2))
@@ -280,7 +280,12 @@ def test_project_optimality_vs_random_members_and_perturbations():
 def test_array_holding_objects_compare_by_identity_and_hash():
     rng = np.random.default_rng(4)
     spec = random_spec(rng)
-    for make in (lambda: stride_perm(2, 4), lambda: BlockDiagonal((np.eye(2),)), lambda: random_member(spec, rng)):
+    for make in (
+        lambda: stride_perm(2, 4),
+        lambda: BlockDiagonal((np.eye(2),)),
+        lambda: random_member(spec, rng),
+        lambda: gsoft_spec(8, 2),
+    ):
         a, b = make(), make()
         assert (a == a) is True and (a == b) is False and (a != b) is True
         assert hash(a) == hash(a)

@@ -273,8 +273,15 @@ def test_checkpoint_rejects_wrong_base_weight(tmp_path):
         lambda doc: doc["gen_L_triu"].append([0.0]),
         lambda doc: doc["spec"]["P"].update(n=99),
         lambda doc: doc.update(scale=float("nan")),
+        lambda doc: doc.update(scale=True),
+        lambda doc: doc["gen_L_triu"][0].__setitem__(0, "0.5"),
+        lambda doc: doc["gen_L_triu"][0].__setitem__(0, None),
+        lambda doc: doc["gen_R_triu"][-1].__setitem__(0, True),
     ],
-    ids=["missing-scale", "missing-spec", "string-scale", "extra-generator", "perm-n", "nan-scale"],
+    ids=[
+        "missing-scale", "missing-spec", "string-scale", "extra-generator", "perm-n", "nan-scale",
+        "bool-scale", "string-entry", "null-entry", "bool-entry",
+    ],
 )
 def test_checkpoint_rejects_malformed(tmp_path, edit):
     rng = np.random.default_rng(6)
