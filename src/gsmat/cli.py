@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from .chain import (
 )
 from .container import ContainerError, load_container, save_container
 from .gs import GSClassSpec, gsoft_spec, project
-from .gsconv import GSConvLayer, conv_as_matrix, layer_jacobian, make_layer, rescale_kernel
+from .gsconv import conv_as_matrix, layer_jacobian, make_layer, rescale_kernel
 from .gsoft import fit_orthogonal_target
 from .ortho import OrthoGSParams, materialize
 from .perm import Permutation, identity_perm, stride_perm
@@ -78,9 +79,9 @@ def _interior_perms(kind: str, b: int, r: int, m: int, seed: int):
     return [Permutation(rng.permutation(d)) for _ in range(m - 1)]
 
 
-def cmd_density(args) -> int:
+def cmd_density(args):
     mask = support_mask(args.b, args.r, _interior_perms(args.perm, args.b, args.r, args.m, args.seed), args.m)
-    report = {
+    return {
         "b": args.b,
         "r": args.r,
         "m": args.m,
@@ -89,14 +90,11 @@ def cmd_density(args) -> int:
         "zero_entries": int(mask.size - mask.sum()),
         "min_m": min_factors_dense(args.b, args.r),
         "butterfly_m": butterfly_min_factors(args.r),
-    }
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_count(args) -> int:
-    report = {
+def cmd_count(args):
+    return {
         "b": args.b,
         "r": args.r,
         "m": args.m,
@@ -105,13 +103,10 @@ def cmd_count(args) -> int:
         "min_m": min_factors_dense(args.b, args.r),
         "butterfly_m": butterfly_min_factors(args.r),
         "butterfly_params": param_count(args.b, args.r, butterfly_min_factors(args.r)),
-    }
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_project(args) -> int:
+def cmd_project(args):
     a = load_container(args.input)
     if not isinstance(a, np.ndarray):
         raise ContainerError("--input must hold a dense matrix")
@@ -121,13 +116,10 @@ def cmd_project(args) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         raise ContainerError(f"cannot read spec: {exc}") from exc
     if a.shape != (spec.m, spec.n):
-        print(f"error: input shape {a.shape} does not match spec {(spec.m, spec.n)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"input shape {a.shape} does not match spec {(spec.m, spec.n)}")
     b = project(a, spec)
     save_container(b, args.output)
-    json.dump({"error_norm": float(np.linalg.norm(a - b.as_dense()))}, sys.stdout, indent=2)
-    print()
-    return EXIT_OK
+    return {"error_norm": float(np.linalg.norm(a - b.as_dense()))}, EXIT_OK
 
 
 def _time_apply(apply, x, reps: int) -> float:
@@ -141,21 +133,18 @@ def _time_apply(apply, x, reps: int) -> float:
     return float(np.median(samples))
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args):
+    """Writes its CSV table to stdout itself and returns no report."""
     d, b, m, reps = args.d, args.b, args.m, args.reps
     if d % b:
-        print(f"error: b={b} must divide d={d}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"b={b} must divide d={d}")
     r = d // b
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(d)
     writer = csv.writer(sys.stdout)
     writer.writerow(["method", "d", "b", "m", "params", "flops", "ns_per_apply"])
 
-    factors = tuple(
-        (BlockDiagonal(tuple(rng.standard_normal((b, b)) for _ in range(r))), stride_perm(r, d))
-        for _ in range(m)
-    )
+    factors = tuple((BlockDiagonal(rng.standard_normal((r, b, b))), stride_perm(r, d)) for _ in range(m))
     chain = GSChain(factors, identity_perm(d))
     writer.writerow(
         ["gs_chain", d, b, m, param_count(b, r, m), flop_count(b, r, m), _time_apply(chain.apply, x, reps)]
@@ -163,19 +152,17 @@ def cmd_bench(args) -> int:
 
     dense = rng.standard_normal((d, d))
     writer.writerow(["dense", d, b, 0, d * d, d * d, _time_apply(lambda v: dense @ v, x, reps)])
-    return EXIT_OK
+    return None, EXIT_OK
 
 
-def cmd_demo_gsoft(args) -> int:
+def cmd_demo_gsoft(args):
     rng = np.random.default_rng(args.seed)
     spec = gsoft_spec(args.d, args.b)
     target = materialize(OrthoGSParams.random(spec, rng, scale=0.5)).as_dense()
     try:
         _, losses, residuals = fit_orthogonal_target(spec, target, args.steps, args.lr)
     except RuntimeError as exc:
-        json.dump({"error": str(exc)}, sys.stdout, indent=2)
-        print()
-        return EXIT_TOLERANCE
+        return {"error": str(exc)}, EXIT_TOLERANCE
     report = {
         "d": args.d,
         "b": args.b,
@@ -186,25 +173,18 @@ def cmd_demo_gsoft(args) -> int:
         "max_ortho_residual": max(residuals),
         "loss_trace": losses,
     }
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    if args.tol is not None and losses[-1] > args.tol:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return report, (EXIT_TOLERANCE if args.tol is not None and losses[-1] > args.tol else EXIT_OK)
 
 
-def cmd_demo_conv(args) -> int:
+def cmd_demo_conv(args):
     rng = np.random.default_rng(args.seed)
     layer = make_layer(args.channels, args.groups, None, args.terms, rng)
     h = w = args.size
     # Normalize the skew kernel's spectral norm so the truncation error is
     # governed by --terms alone.
     jac1 = conv_as_matrix(layer.kernel1, h, w)
-    layer = GSConvLayer(
-        layer.shuffle1,
-        rescale_kernel(layer.kernel1, 1.0 / max(np.linalg.norm(jac1, 2), 1e-12)),
-        exp_terms=layer.exp_terms,
-    )
+    scale = 1.0 / max(np.linalg.norm(jac1, 2), 1e-12)
+    layer = dataclasses.replace(layer, kernel1=rescale_kernel(layer.kernel1, scale))
     d = args.channels * h * w
     eye = np.eye(d)
 
@@ -222,25 +202,18 @@ def cmd_demo_conv(args) -> int:
         "ortho_residual_terms_1": residual(1),
         "monotone_vs_terms_1": res <= residual(1),
     }
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    if args.tol is not None and res > args.tol:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return report, (EXIT_TOLERANCE if args.tol is not None and res > args.tol else EXIT_OK)
 
 
-def cmd_info(args) -> int:
-    report = {
+def cmd_info(args):
+    return {
         "name": "gsmat",
         "version": __version__,
         "container_format": "GSM1: magic 'GSM1', uint32-le header length, JSON header, f64le row-major payload",
         "container_kinds": ["dense", "permutation", "blockdiag", "gs", "chain"],
         "exit_codes": {"0": "success", "2": "usage", "3": "I/O or format", "4": "tolerance failure"},
         "seed_env": "GS_SEED",
-    }
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,18 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that writes its report or error."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ContainerError as exc:
+        report, code = args.func(args)
+        if report is not None:
+            json.dump(report, sys.stdout, indent=2)
+            print()
+        return code
+    except (ContainerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # An exception that is both an OSError and a ValueError (io.UnsupportedOperation) is I/O.
+        return EXIT_IO if isinstance(exc, (ContainerError, OSError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -33,23 +33,37 @@ __all__ = [
 ]
 
 _MATRIX_SIZE_CAP = 2048
+# make_layer's shuffle kinds: the stride permutation each stage's shuffle is.
+_SHUFFLES = {"paired": paired_stride_perm, "plain": stride_perm}
 
 
 @dataclass(frozen=True, eq=False)
 class ConvKernel:
-    """c_out x c_in x k_h x k_w kernel with block (grouped) channel structure."""
+    """c_out x c_in x k_h x k_w kernel with block (grouped) channel structure; immutable."""
 
     weights: np.ndarray = field(repr=False)
     groups: int = 1
+    # The diagonal group blocks, tap-major: _taps[dy, dx] is (g, c_out/g, c_in/g).
+    _taps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
+        # A private copy, so later writes to the caller's array cannot reach it.
+        w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 4:
             raise ValueError("kernel must be 4-D (c_out, c_in, k_h, k_w)")
-        pairs = _group_view(w, self.groups).transpose(0, 2, 1, 3, 4, 5)  # [out group, in group]
+        view = _group_view(w, self.groups)
+        pairs = view.transpose(0, 2, 1, 3, 4, 5)  # [out group, in group]
         if np.any(pairs[~np.eye(self.groups, dtype=bool)]):
             raise ValueError("cross-group kernel entries must be zero")
+        diag = np.arange(self.groups)
+        taps = np.ascontiguousarray(view[diag, :, diag].transpose(3, 4, 0, 1, 2))
+        w.flags.writeable = taps.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_taps", taps)
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild through __post_init__, so copies stay read-only.
+        return ConvKernel, (self.weights, self.groups)
 
     @property
     def c_out(self) -> int:
@@ -72,6 +86,12 @@ def _group_view(w: np.ndarray, groups: int) -> np.ndarray:
     return w.reshape(groups, c_out // groups, groups, c_in // groups, kh, kw)
 
 
+def _check_count(value, name: str) -> None:
+    """Raise ValueError unless value is an integer >= 1 (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def random_grouped_kernel(c_out, c_in, k, groups, rng, scale=1.0) -> ConvKernel:
     w = scale * rng.standard_normal((c_out, c_in, k, k))
     masked = _group_view(w, groups) * np.eye(groups)[:, None, :, None, None, None]
@@ -88,9 +108,7 @@ def grouped_conv(kernel: ConvKernel, x: np.ndarray) -> np.ndarray:
         raise ValueError("kernel sides must be odd")
     _, h, w = x.shape
     g, gi = kernel.groups, kernel.c_in // kernel.groups
-    # Diagonal group blocks, tap-major: taps[dy, dx] is (g, c_out/g, c_in/g).
-    diag = np.arange(g)
-    taps = np.ascontiguousarray(_group_view(kernel.weights, g)[diag, :, diag].transpose(3, 4, 0, 1, 2))
+    taps = kernel._taps
     if kh == kw == 1:
         return (taps[0, 0] @ x.reshape(g, gi, h * w)).reshape(kernel.c_out, h, w)
     # The padded image is stored flat with rows wp wide, plus 2pw spare zeros
@@ -143,8 +161,7 @@ def skew_kernel(m: ConvKernel) -> ConvKernel:
 
 def conv_exponential(l: ConvKernel, x: np.ndarray, terms: int) -> np.ndarray:
     """Partial sum X + L*X/1! + ... + L*^T X/T! of the convolution exponential."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    _check_count(terms, "terms")
     if l.c_in != l.c_out:
         raise ValueError("convolution exponential requires square channels")
     acc = np.asarray(x, dtype=np.float64).copy()
@@ -174,8 +191,7 @@ class GSConvLayer:
             raise ValueError("kernel2 and shuffle2 must be provided together")
         if self.kernel2 is not None and (self.kernel2.c_in != c or self.shuffle2.n != c):
             raise ValueError("second stage channel count mismatch")
-        if self.exp_terms < 1:
-            raise ValueError("exp_terms must be >= 1")
+        _check_count(self.exp_terms, "exp_terms")
 
     @property
     def channels(self) -> int:
@@ -255,9 +271,9 @@ def make_layer(
     kernel_scale: float = 0.3,
 ) -> GSConvLayer:
     """Random skew-parametrized layer; shuffle group count follows each conv."""
-    if shuffle not in ("paired", "plain"):
+    if shuffle not in tuple(_SHUFFLES):  # a tuple, so an unhashable value is unknown, not a TypeError
         raise ValueError(f"unknown shuffle kind: {shuffle!r}")
-    mk_perm = paired_stride_perm if shuffle == "paired" else stride_perm
+    mk_perm = _SHUFFLES[shuffle]
     k1 = skew_kernel(random_grouped_kernel(channels, channels, 3, groups1, rng, kernel_scale))
     if groups2 is None:
         return GSConvLayer(mk_perm(groups1, channels), k1, exp_terms=exp_terms)
@@ -267,22 +283,45 @@ def make_layer(
     )
 
 
-def layer_config(layer: GSConvLayer, shuffle: str = "paired", activation: str = "maxmin_permuted") -> dict:
+def _shuffle_kind(layer: GSConvLayer) -> str:
+    """The make_layer shuffle kind whose stride permutations the layer holds."""
+    stages = [(layer.shuffle1, layer.kernel1.groups)]
+    if layer.kernel2 is not None:
+        stages.append((layer.shuffle2, layer.kernel2.groups))
+    c = layer.channels
+    for kind, mk_perm in _SHUFFLES.items():
+        try:
+            if all(np.array_equal(p.sigma, mk_perm(g, c).sigma) for p, g in stages):
+                return kind
+        except ValueError:  # this kind has no permutation for these group counts
+            pass
+    raise ValueError("layer shuffles are not the stride permutations make_layer builds")
+
+
+def layer_config(layer: GSConvLayer, activation: str = "maxmin_permuted") -> dict:
     """Structural description matching the layer config JSON schema."""
     return {
         "channels": layer.channels,
         "groups1": layer.kernel1.groups,
         "groups2": None if layer.kernel2 is None else layer.kernel2.groups,
         "exp_terms": layer.exp_terms,
-        "shuffle": shuffle,
+        "shuffle": _shuffle_kind(layer),
         "activation": activation,
     }
 
 
 def layer_from_config(cfg: dict, rng: np.random.Generator, kernel_scale: float = 0.3) -> GSConvLayer:
-    """Build a randomly initialized layer from a config dict."""
+    """Build a randomly initialized layer from a config dict; ValueError if it is malformed."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"layer config must be a dict, got {type(cfg).__name__}")
     if cfg.get("activation", "maxmin_permuted") not in ("maxmin", "maxmin_permuted"):
         raise ValueError(f"unknown activation: {cfg.get('activation')!r}")
+    missing = [name for name in ("channels", "groups1") if cfg.get(name) is None]
+    if missing:
+        raise ValueError(f"layer config: missing field(s) {missing}")
+    for name in ("channels", "groups1", "groups2"):
+        if cfg.get(name) is not None:
+            _check_count(cfg[name], f"layer config: {name}")
     return make_layer(
         cfg["channels"],
         cfg["groups1"],

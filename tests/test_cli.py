@@ -362,3 +362,53 @@ def test_info(capsys):
     assert rep["name"] == "gsmat"
     assert rep["seed_env"] == "GS_SEED"
     assert set(rep["container_kinds"]) == {"dense", "permutation", "blockdiag", "gs", "chain"}
+
+
+# ------------------------------------------------------------ report contract
+
+
+def _one_error_line(err, prefix="error: "):
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1, err
+
+
+def test_project_shape_mismatch_is_one_usage_error_line(capsys, tmp_path):
+    inp = str(tmp_path / "a.gsm")
+    save_container(np.zeros((6, 6)), inp)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(GSClassSpec.make(4, 2, 2, 4, 2, 2).to_json())
+    out_path = tmp_path / "b.gsm"
+    code, out, err = _run(
+        capsys, ["project", "--input", inp, "--spec", str(spec_path), "--output", str(out_path)]
+    )
+    assert code == EXIT_USAGE and out == ""
+    _one_error_line(err, "error: input shape")
+    assert not out_path.exists()
+
+
+def test_bench_rejects_b_not_dividing_d(capsys):
+    code, out, err = _run(capsys, ["bench", "--d", "10", "--b", "4"])
+    assert code == EXIT_USAGE and out == ""
+    _one_error_line(err)
+
+
+def _report_argvs(tmp_path):
+    spec = GSClassSpec.make(4, 2, 2, 4, 2, 2)
+    inp, spec_path = str(tmp_path / "a.gsm"), tmp_path / "spec.json"
+    save_container(random_member(spec, np.random.default_rng(4)).as_dense(), inp)
+    spec_path.write_text(spec.to_json())
+    return {
+        "density": ["density", "--b", "2", "--r", "4", "--m", "3"],
+        "count": ["count", "--b", "4", "--r", "4", "--m", "2"],
+        "project": ["project", "--input", inp, "--spec", str(spec_path), "--output", str(tmp_path / "b.gsm")],
+        "demo-gsoft": ["demo-gsoft", "--d", "8", "--b", "2", "--steps", "20", "--seed", "2"],
+        "demo-conv": ["demo-conv", "--channels", "4", "--groups", "2", "--terms", "4", "--size", "3"],
+        "info": ["info"],
+    }
+
+
+@pytest.mark.parametrize("command", ["density", "count", "project", "demo-gsoft", "demo-conv", "info"])
+def test_report_is_one_json_document_and_silent_stderr(capsys, tmp_path, command):
+    code, out, err = _run(capsys, _report_argvs(tmp_path)[command])
+    assert code == EXIT_OK and err == ""
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert isinstance(report, dict) and out[end:] == "\n"

@@ -1,5 +1,8 @@
 """Grouped convolutions, the convolution exponential, and the shuffle layer."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -296,3 +299,71 @@ def test_rescale_kernel():
     k2 = rescale_kernel(k, 0.5)
     np.testing.assert_array_equal(k2.weights, 0.5 * k.weights)
     assert k2.groups == k.groups
+
+
+def test_kernel_keeps_a_private_read_only_copy():
+    rng = np.random.default_rng(16)
+    w = random_grouped_kernel(4, 4, 3, 2, rng).weights.copy()
+    k = ConvKernel(w, 2)
+    x = rng.standard_normal((4, 5, 5))
+    y, m = grouped_conv(k, x), conv_as_matrix(k, 5, 5)
+    w[0, 3, 1, 1] = 5.0  # a cross-group entry of the caller's array
+    w[0, 0] += 1.0
+    np.testing.assert_array_equal(grouped_conv(k, x), y)
+    np.testing.assert_array_equal(conv_as_matrix(k, 5, 5), m)
+    for kern in (k, pickle.loads(pickle.dumps(k)), copy.deepcopy(k)):
+        assert kern.groups == 2
+        with pytest.raises(ValueError, match="read-only"):
+            kern.weights[0, 0, 0, 0] = 1.0
+        np.testing.assert_array_equal(grouped_conv(kern, x), y)
+
+
+@pytest.mark.parametrize("shuffle", ["paired", "plain"])
+@pytest.mark.parametrize("channels, groups1, groups2", [(8, 4, None), (8, 4, 2), (12, 2, None), (12, 2, 3)])
+def test_layer_config_round_trips_the_shuffle(shuffle, channels, groups1, groups2):
+    layer = make_layer(channels, groups1, groups2, exp_terms=3, rng=np.random.default_rng(17), shuffle=shuffle)
+    cfg = layer_config(layer)
+    rebuilt = layer_from_config(cfg, np.random.default_rng(18))
+    assert layer_config(rebuilt) == cfg
+    np.testing.assert_array_equal(rebuilt.shuffle1.sigma, layer.shuffle1.sigma)
+    if groups2 is not None:
+        np.testing.assert_array_equal(rebuilt.shuffle2.sigma, layer.shuffle2.sigma)
+
+
+def test_layer_config_rejects_shuffles_make_layer_does_not_build():
+    k = ConvKernel(np.zeros((8, 8, 3, 3)), groups=4)
+    layer = GSConvLayer(paired_stride_perm(4, 8).compose(paired_stride_perm(2, 8)), k)
+    with pytest.raises(ValueError, match="stride permutations"):
+        layer_config(layer)
+
+
+MALFORMED_LAYER_CONFIGS = {
+    "empty": {},
+    "list": [8, 4],
+    "string-channels": {"channels": "8", "groups1": 4},
+    "null-groups1": {"channels": 8, "groups1": None},
+    "fractional-groups1": {"channels": 8, "groups1": 2.5},
+    "bool-groups2": {"channels": 8, "groups1": 4, "groups2": True},
+    "fractional-exp_terms": {"channels": 8, "groups1": 4, "exp_terms": 2.5},
+    "zero-exp_terms": {"channels": 8, "groups1": 4, "exp_terms": 0},
+    "unknown-shuffle": {"channels": 8, "groups1": 4, "shuffle": ["paired"]},
+}
+
+
+@pytest.mark.parametrize("cfg", MALFORMED_LAYER_CONFIGS.values(), ids=MALFORMED_LAYER_CONFIGS.keys())
+def test_layer_from_config_rejects_malformed_configs(cfg):
+    with pytest.raises(ValueError):
+        layer_from_config(cfg, np.random.default_rng(19))
+
+
+@pytest.mark.parametrize("terms", [2.5, True, 0, -1, "3", None])
+def test_term_counts_must_be_integers_of_at_least_one(terms):
+    k = ConvKernel(np.zeros((4, 4, 3, 3)), groups=2)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        GSConvLayer(paired_stride_perm(2, 4), k, exp_terms=terms)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        conv_exponential(k, np.zeros((4, 2, 2)), terms)
+    layer = GSConvLayer(paired_stride_perm(2, 4), k, exp_terms=np.int64(2))
+    if terms is not None:  # None selects the layer's own exp_terms
+        with pytest.raises(ValueError, match="integer >= 1"):
+            gs_conv_forward(layer, np.zeros((4, 2, 2)), terms)
