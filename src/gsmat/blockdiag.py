@@ -117,18 +117,20 @@ class SkewGenerators:
 
 
 def cayley(k: np.ndarray) -> np.ndarray:
-    """Q = (I + K)(I - K)^{-1} for skew-symmetric K; Q is in SO(b)."""
+    """Q = (I + K)(I - K)^{-1} for skew-symmetric K, per matrix of a (..., b, b) stack; Q is in SO(b)."""
     k = np.asarray(k, dtype=np.float64)
+    if k.ndim < 2 or k.shape[-1] != k.shape[-2]:
+        raise ValueError(f"cayley: expected a square matrix or a (..., b, b) stack, got shape {k.shape}")
     if not np.all(np.isfinite(k)):
         raise ValueError("cayley: input contains NaN/Inf")
-    eye = np.eye(k.shape[0])
+    eye = np.eye(k.shape[-1])
     # (I+K) and (I-K)^{-1} commute, so the solve order is immaterial.
     return np.linalg.solve(eye - k, eye + k)
 
 
 def cayley_blockdiag(g: SkewGenerators) -> BlockDiagonal:
-    """Apply the Cayley map per block; zero generators give identity blocks."""
-    return BlockDiagonal([cayley(k) for k in g.skew()])
+    """Apply the Cayley map to every block at once; zero generators give identity blocks."""
+    return BlockDiagonal(cayley(g.skew()))
 
 
 def cayley_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -136,16 +138,16 @@ def cayley_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     With S = I - K, I + Q = 2 S^{-1}, so dQ = 2 S^{-1} dK S^{-1} and
     grad_K = 2 S^{-T} G S^{-T}, where S^{-T} = (I + K)^{-1} (K is skew): one
-    LU per block. grad_A = grad_K - grad_K^T.
+    LU per block. grad_A = grad_K - grad_K^T. a and g may be matching
+    (..., b, b) stacks; every block is handled by one batched inverse.
     """
     a = np.asarray(a, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if a.shape != g.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {g.shape}")
-    k = a - a.T
-    s_inv_t = np.linalg.inv(np.eye(a.shape[0]) + k)
+    if a.shape != g.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"shape mismatch: {a.shape} vs {g.shape}; expected two equal (..., b, b) shapes")
+    s_inv_t = np.linalg.inv(np.eye(a.shape[-1]) + (a - a.swapaxes(-1, -2)))
     grad_k = 2.0 * (s_inv_t @ g @ s_inv_t)
-    return grad_k - grad_k.T
+    return grad_k - grad_k.swapaxes(-1, -2)
 
 
 def pack_skew_triu(g: SkewGenerators) -> list:

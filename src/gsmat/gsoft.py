@@ -16,7 +16,7 @@ import numpy as np
 
 from .blockdiag import SkewGenerators, cayley_blockdiag, cayley_vjp, pack_skew_triu, unpack_skew_triu
 from .gs import GSClassSpec, gsoft_spec
-from .ortho import OrthoGSParams, is_orthogonal, materialize, materialize_vjp
+from .ortho import OrthoGSParams, _factored_vjp, is_orthogonal, materialize, materialize_vjp
 
 __all__ = [
     "GSOFTAdapter",
@@ -70,10 +70,10 @@ class GSOFTAdapter:
         (n_out, n); a batch's gradients are the sums over its columns.
         """
         x, g = _batch(self.W0, x, grad_out)
-        grad_q = self.scale * _outer(x, self.W0 @ g)
-        grads_l, grads_r = materialize_vjp(self.q, grad_q)
-        grad_scale = float(g.ravel() @ self.forward(x).ravel()) / self.scale
-        return {"gen_L": grads_l, "gen_R": grads_r, "scale": grad_scale}
+        q, w0_g = materialize(self.q), self.W0 @ g
+        grads_l, grads_r = _factored_vjp(self.q, q, x, self.scale * w0_g)
+        # The scale gradient <g, forward(x)> / scale is <W0 g, Q^T x>.
+        return {"gen_L": grads_l, "gen_R": grads_r, "scale": float(np.sum(w0_g * q.apply_t(x)))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,17 +119,15 @@ class DoubleGSOFTAdapter:
     def backward(self, x: np.ndarray, grad_out: np.ndarray):
         """As GSOFTAdapter.backward, for both sides; x may be a (d, n) batch."""
         x, g = _batch(self.W0, x, grad_out)
-        qu = materialize(self.q_U)
-        qv = materialize(self.q_V)
-        grad_qu = self.scale * _outer(x, self.W0 @ qv.apply(g))
-        grad_qv = self.scale * _outer(self.W0.T @ qu.apply_t(x), g)
-        gu = materialize_vjp(self.q_U, grad_qu)
-        gv = materialize_vjp(self.q_V, grad_qv)
-        grad_scale = float(g.ravel() @ self.forward(x).ravel()) / self.scale
+        qu, qv = materialize(self.q_U), materialize(self.q_V)
+        qu_t_x, w0_qv_g = qu.apply_t(x), self.W0 @ qv.apply(g)
+        gu = _factored_vjp(self.q_U, qu, x, self.scale * w0_qv_g)
+        gv = _factored_vjp(self.q_V, qv, self.scale * (self.W0.T @ qu_t_x), g)
         return {
             "q_U": {"gen_L": gu[0], "gen_R": gu[1]},
             "q_V": {"gen_L": gv[0], "gen_R": gv[1]},
-            "scale": grad_scale,
+            # The scale gradient <g, forward(x)> / scale is <W0 Q_V g, Q_U^T x>.
+            "scale": float(np.sum(w0_qv_g * qu_t_x)),
         }
 
 
@@ -144,13 +142,13 @@ def _batch(w0: np.ndarray, x, grad_out):
     return x, g
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b^T summed over samples: np.outer for one sample, a @ b.T for (., n) batches."""
-    return np.outer(a, b) if a.ndim == 1 else a @ b.T
-
-
 def _update_gens(g: SkewGenerators, grads, lr: float) -> SkewGenerators:
-    return SkewGenerators(g.gens - lr * np.asarray(grads))
+    """One descent step; raises when the step overflows the skew parts the Cayley map reads."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = SkewGenerators(g.gens - lr * np.asarray(grads))
+        if not np.all(np.isfinite(new.skew())):
+            raise RuntimeError("training diverged (generators are not finite); try a smaller lr")
+    return new
 
 
 def _descend(theta, q_of, step, target: np.ndarray, steps: int):
@@ -214,8 +212,7 @@ def fit_blockdiag_target(d: int, b: int, target: np.ndarray, steps: int, lr: flo
     diag = np.arange(k)
 
     def step(gens, grad_q):
-        blocks = grad_q.reshape(k, b, k, b)[diag, :, diag]
-        return _update_gens(gens, [cayley_vjp(a, g) for a, g in zip(gens.gens, blocks)], lr)
+        return _update_gens(gens, cayley_vjp(gens.gens, grad_q.reshape(k, b, k, b)[diag, :, diag]), lr)
 
     gens = SkewGenerators.zeros(k, b)
     return _descend(gens, lambda g: cayley_blockdiag(g).as_dense(), step, target, steps)

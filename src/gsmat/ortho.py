@@ -14,7 +14,6 @@ import numpy as np
 
 from .blockdiag import SkewGenerators, cayley_blockdiag, cayley_vjp
 from .gs import GSClassSpec, GSMatrix, _gather, _pack, _pairs
-from .perm import perm_cols, perm_cols_t
 
 __all__ = [
     "OrthoGSParams",
@@ -57,29 +56,31 @@ def materialize(p: OrthoGSParams) -> GSMatrix:
 
 
 def materialize_vjp(p: OrthoGSParams, grad_q: np.ndarray):
-    """Gradients of a loss w.r.t. gen_L and gen_R given its gradient at Q dense.
+    """Gradients of a loss w.r.t. gen_L and gen_R given its gradient G at Q dense.
 
-    Q = P_L L P R P_R gives grad_Ldense = H (P R)^T with H = P_L^T G P_R^T, and
-    grad_Rdense = (P_L L P)^T G P_R^T. Only their k diagonal b x b blocks feed
-    the per-block Cayley VJPs, so only those are contracted, one batched
-    (k, b, d) @ (k, d, b) product per factor: O(d^2 b) work, not O(d^3).
+    The v = I, u = G case of the rank-n factored VJP, which costs O(n d b) for
+    G = u v^T: no dense L or R is built, and this dense case costs O(d^2 b).
+    """
+    grad_q = np.asarray(grad_q, dtype=np.float64)
+    if grad_q.shape != (p.spec.m, p.spec.n):
+        raise ValueError(f"shape mismatch: expected {(p.spec.m, p.spec.n)}, got {grad_q.shape}")
+    return _factored_vjp(p, materialize(p), grad_q, np.eye(p.spec.n))
+
+
+def _factored_vjp(p: OrthoGSParams, q: GSMatrix, u: np.ndarray, v: np.ndarray):
+    """Generator gradients for a loss gradient u v^T at Q = q = materialize(p), u and v (d,) or (d, n).
+
+    Q = P_L L P R P_R gives grad_L = (P_L^T u)(P R P_R v)^T and grad_R = (P^T L^T P_L^T u)(P_R v)^T;
+    the Cayley VJPs read only their k diagonal b x b blocks, one batched (k, b, n) @ (k, n, b) product
+    each on structured applies: O(n d b) work and no d x d array.
     """
     sp = p.spec
-    grad_q = np.asarray(grad_q, dtype=np.float64)
-    if grad_q.shape != (sp.m, sp.n):
-        raise ValueError(f"shape mismatch: expected {(sp.m, sp.n)}, got {grad_q.shape}")
-    d, k_l, b_l, k_r, b_r = sp.m, sp.k_L, sp.b_L1, sp.k_R, sp.b_R1
-    ld = cayley_blockdiag(p.gen_L).as_dense()
-    rd = cayley_blockdiag(p.gen_R).as_dense()
-    pr = sp.P.apply(rd)
-    pllp = perm_cols(sp.P, sp.P_L.apply(ld))
-    gpr = perm_cols_t(sp.P_R, grad_q)
-    h = sp.P_L.apply_inverse(gpr)
-    g_l = h.reshape(k_l, b_l, d) @ pr.reshape(k_l, b_l, d).transpose(0, 2, 1)
-    g_r = pllp.reshape(d, k_r, b_r).transpose(1, 2, 0) @ gpr.reshape(d, k_r, b_r).transpose(1, 0, 2)
-    grads_l = [cayley_vjp(a, g) for a, g in zip(p.gen_L.gens, g_l)]
-    grads_r = [cayley_vjp(a, g) for a, g in zip(p.gen_R.gens, g_r)]
-    return grads_l, grads_r
+    pl_u, pr_v = sp.P_L.apply_inverse(u), sp.P_R.apply(v)
+    left = sp.P.apply_inverse(q.L.apply_t(pl_u)).reshape(sp.k_R, sp.b_R1, -1)
+    right = sp.P.apply(q.R.apply(pr_v)).reshape(sp.k_L, sp.b_L1, -1)
+    g_l = pl_u.reshape(sp.k_L, sp.b_L1, -1) @ right.swapaxes(1, 2)
+    g_r = left @ pr_v.reshape(sp.k_R, sp.b_R1, -1).swapaxes(1, 2)
+    return list(cayley_vjp(p.gen_L.gens, g_l)), list(cayley_vjp(p.gen_R.gens, g_r))
 
 
 def is_orthogonal(m: np.ndarray, tol: float):

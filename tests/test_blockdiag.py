@@ -156,6 +156,30 @@ def test_cayley_orthogonal_and_special():
 def test_cayley_rejects_nonfinite():
     with pytest.raises(ValueError, match="NaN"):
         cayley(np.array([[0.0, np.nan], [-np.nan, 0.0]]))
+    stack = np.zeros((4, 3, 3))
+    stack[2, 0, 1] = np.nan  # one bad block in an otherwise finite stack
+    with pytest.raises(ValueError, match="NaN"):
+        cayley(stack)
+
+
+@pytest.mark.parametrize("b", [1, 2, 16, 32])
+def test_cayley_and_vjp_on_stacks_equal_stacked_per_block_results(b):
+    rng = np.random.default_rng(b)
+    a = rng.standard_normal((5, b, b))
+    g = rng.standard_normal((5, b, b))
+    k = a - a.transpose(0, 2, 1)
+    assert np.array_equal(cayley(k), np.stack([cayley(blk) for blk in k]))
+    assert np.array_equal(cayley_vjp(a, g), np.stack([cayley_vjp(x, y) for x, y in zip(a, g)]))
+    assert np.array_equal(cayley_blockdiag(SkewGenerators(a)).stack, cayley(k))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3), (3, 1)])
+def test_cayley_and_vjp_reject_non_square_shapes(shape):
+    z = np.zeros(shape)
+    with pytest.raises(ValueError, match="stack"):
+        cayley(z)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cayley_vjp(z, z)
 
 
 def test_cayley_blockdiag_zero_generators():
@@ -211,6 +235,8 @@ def test_cayley_vjp_symmetric_directions_vanish():
 def test_cayley_vjp_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         cayley_vjp(np.zeros((2, 2)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cayley_vjp(np.zeros((4, 2, 2)), np.zeros((3, 2, 2)))
 
 
 def test_pack_unpack_skew_roundtrip():

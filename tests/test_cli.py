@@ -294,6 +294,15 @@ def test_demo_gsoft_report(capsys):
     assert rep["max_ortho_residual"] < 1e-11 * 8
 
 
+@pytest.mark.filterwarnings("error")
+def test_demo_gsoft_divergence_exits_4_with_one_report(capsys, monkeypatch):
+    monkeypatch.delenv("GS_SEED", raising=False)
+    code, out, err = _run(capsys, ["demo-gsoft", "--d", "8", "--b", "2", "--steps", "5", "--lr", "1.7e308"])
+    assert code == EXIT_TOLERANCE and err == ""
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert "diverged" in report["error"] and out[end:] == "\n"
+
+
 def test_exit_code_usage(capsys):
     # argparse errors exit with SystemExit(2).
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Orthogonal fine-tuning adapters: forward, merge, gradients, trainer, I/O."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from gsmat import (
     save_adapter,
     svd_small,
 )
-from gsmat.blockdiag import SkewGenerators
+from gsmat.blockdiag import BlockDiagonal, SkewGenerators, cayley_vjp
+from gsmat.gs import GSMatrix
 
 from oracles import central_diff, jacobi_eigvals
 
@@ -216,6 +218,113 @@ def test_batched_backward_matches_finite_differences():
         fd = central_diff(f, a.q.gen_R.gens[i])
         np.testing.assert_allclose(grads["gen_R"][i], fd, atol=1e-6, rtol=1e-6)
     assert np.isclose(grads["scale"], loss(a) / a.scale, rtol=1e-12)
+
+
+def _dense_vjp(p, grad_q):
+    """Generator gradients from the explicit d x d products Q = P_L L P R P_R and a dense G."""
+    sp, gsm = p.spec, materialize(p)
+    p_l, p_mid, p_r = (q.as_dense() for q in (sp.P_L, sp.P, sp.P_R))
+    grad_l = p_l.T @ grad_q @ (p_mid @ gsm.R.as_dense() @ p_r).T
+    grad_r = (p_l @ gsm.L.as_dense() @ p_mid).T @ grad_q @ p_r.T
+
+    def diag(m, gens):
+        b = gens.shape[1]
+        return [cayley_vjp(a, m[i * b : (i + 1) * b, i * b : (i + 1) * b]) for i, a in enumerate(gens)]
+
+    return {"gen_L": diag(grad_l, p.gen_L.gens), "gen_R": diag(grad_r, p.gen_R.gens)}
+
+
+def _assert_grads_close(got, want, rtol=1e-12):
+    got_gens, want_gens = (_flat({k: v for k, v in d.items() if k != "scale"}) for d in (got, want))
+    assert np.max(np.abs(got_gens - want_gens)) <= rtol * np.max(np.abs(want_gens))
+    assert abs(got["scale"] - want["scale"]) <= rtol * abs(want["scale"])
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (16,)])
+def test_backward_matches_dense_reference(batch):
+    """Factored adapter gradients against G = scale x (W0 g)^T and <g, forward(x)> / scale."""
+    rng = np.random.default_rng(12)
+    single = GSOFTAdapter(rng.standard_normal((16, 12)), OrthoGSParams.random(gsoft_spec(16, 4), rng, 0.4), 1.3)
+    x = rng.standard_normal((16, *batch))
+    g = rng.standard_normal((12, *batch))
+    x2, g2 = x.reshape(16, -1), g.reshape(12, -1)
+    want = _dense_vjp(single.q, single.scale * x2 @ (single.W0 @ g2).T)
+    want["scale"] = float(np.sum(g * single.forward(x))) / single.scale
+    _assert_grads_close(single.backward(x, g), want)
+
+    qu = OrthoGSParams.random(gsoft_spec(16, 4), rng, 0.4)
+    qv = OrthoGSParams.random(gsoft_spec(8, 2), rng, 0.4)
+    double = DoubleGSOFTAdapter(rng.standard_normal((16, 8)), qu, qv, 0.7)
+    g = rng.standard_normal((8, *batch))
+    g2 = g.reshape(8, -1)
+    qu_d, qv_d = materialize(qu).as_dense(), materialize(qv).as_dense()
+    w0, scale = double.W0, double.scale
+    want = {
+        "q_U": _dense_vjp(qu, scale * x2 @ (w0 @ qv_d @ g2).T),
+        "q_V": _dense_vjp(qv, scale * (w0.T @ qu_d.T @ x2) @ g2.T),
+        "scale": float(np.sum(g * double.forward(x))) / scale,
+    }
+    _assert_grads_close(double.backward(x, g), want)
+
+
+def test_backward_builds_no_dense_array_and_calls_no_forward(monkeypatch):
+    """At d = 512, b = 32 neither adapter's backward densifies a factor, re-runs forward
+    or allocates as much as one d x d float64 array."""
+    rng = np.random.default_rng(13)
+    single = GSOFTAdapter(rng.standard_normal((512, 512)), OrthoGSParams.random(gsoft_spec(512, 32), rng, 0.3))
+    double = DoubleGSOFTAdapter(
+        rng.standard_normal((512, 256)),
+        OrthoGSParams.random(gsoft_spec(512, 32), rng, 0.3),
+        OrthoGSParams.random(gsoft_spec(256, 16), rng, 0.3),
+    )
+
+    def refuse(*args):
+        raise AssertionError("backward called a dense or forward path")
+
+    for cls, name in ((BlockDiagonal, "as_dense"), (GSMatrix, "as_dense"),
+                      (GSOFTAdapter, "forward"), (DoubleGSOFTAdapter, "forward")):
+        monkeypatch.setattr(cls, name, refuse)
+    for adapter in (single, double):
+        x, g = rng.standard_normal(512), rng.standard_normal(adapter.W0.shape[1])
+        tracemalloc.start()
+        try:
+            grads = adapter.backward(x, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 512 * 8, peak
+        assert np.all(np.isfinite(_flat(grads)))
+
+
+# fit_orthogonal_target and fit_blockdiag_target on gsoft_spec(16, 4), 6 steps at lr 0.05,
+# toward the Cayley target drawn from default_rng(seed); recorded from the dense-gradient trainer.
+_GOLDEN_LOSSES = {
+    0: ([31.8782854543, 24.6101755754, 15.6701740918, 6.71815989455, 2.44134941777, 1.12961660353],
+        [31.8782854543, 29.3408238021, 27.9606779847, 27.3566433701, 27.0285677407, 26.8142065256]),
+    1: ([31.3851986752, 23.5804503878, 14.9422651682, 5.88007328026, 2.05391805139, 1.05573116261],
+        [31.3851986752, 26.2509910975, 23.983738907, 22.9661631701, 22.4353857729, 22.1097369296]),
+    2: ([32.2409865543, 24.894445114, 19.2163907704, 14.9989054457, 10.0323628318, 4.74808525981],
+        [32.2409865543, 28.8862619096, 27.0962595356, 26.2032866136, 25.6330721705, 25.2017475587]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_LOSSES))
+def test_trainer_losses_match_golden_traces(seed):
+    spec = gsoft_spec(16, 4)
+    target = materialize(OrthoGSParams.random(spec, np.random.default_rng(seed), scale=0.5)).as_dense()
+    full, ablation = _GOLDEN_LOSSES[seed]
+    np.testing.assert_allclose(fit_orthogonal_target(spec, target, 6, 0.05)[1], full, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(fit_blockdiag_target(16, 4, target, 6, 0.05)[1], ablation, rtol=1e-8, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_trainers_raise_on_overflowing_steps():
+    spec = gsoft_spec(8, 2)
+    target = materialize(OrthoGSParams.random(spec, np.random.default_rng(0), scale=0.5)).as_dense()
+    with pytest.raises(RuntimeError, match="diverged"):
+        fit_orthogonal_target(spec, target, 5, 1.7e308)
+    with pytest.raises(RuntimeError, match="diverged"):
+        fit_blockdiag_target(8, 2, target, 5, 1.7e308)
 
 
 def test_fit_orthogonal_target_converges():

@@ -12,7 +12,8 @@ from gsmat import (
     materialize_vjp,
     orthogonalize_representation,
 )
-from gsmat.blockdiag import SkewGenerators, cayley_vjp
+from gsmat.blockdiag import BlockDiagonal, SkewGenerators, cayley_vjp
+from gsmat.ortho import _factored_vjp
 
 from oracles import central_diff, random_perm, random_square_spec
 
@@ -140,6 +141,39 @@ def test_materialize_vjp_matches_dense_reference():
         assert len(got_l) == spec.k_L and len(got_r) == spec.k_R
         for got, want in zip(got_l + got_r, want_l + want_r):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_factored_vjp_matches_dense_vjp_of_its_rank_n_gradient():
+    """u v^T through the structured applies equals materialize_vjp of the dense u v^T."""
+    rng = np.random.default_rng(31)
+    specs = [random_square_spec(rng, sizes=(12, 16, 24, 48)) for _ in range(20)] + [gsoft_spec(64, 8)]
+    for spec in specs:
+        p = OrthoGSParams.random(spec, rng, scale=0.5)
+        for shape in [(), (1,), (5,)]:
+            u = rng.standard_normal((spec.m, *shape))
+            v = rng.standard_normal((spec.n, *shape))
+            got = _factored_vjp(p, materialize(p), u, v)
+            want = materialize_vjp(p, np.outer(u, v) if not shape else u @ v.T)
+            for side_got, side_want in zip(got, want):
+                assert len(side_got) == len(side_want)
+                got_flat, want_flat = np.ravel(side_got), np.ravel(side_want)
+                assert np.max(np.abs(got_flat - want_flat)) <= 1e-12 * np.max(np.abs(want_flat))
+
+
+def test_materialize_vjp_builds_no_dense_factor(monkeypatch):
+    rng = np.random.default_rng(37)
+    p = OrthoGSParams.random(gsoft_spec(32, 4), rng, scale=0.5)
+    g = rng.standard_normal((32, 32))
+    want = materialize_vjp(p, g)
+
+    def refuse(self):
+        raise AssertionError("dense factor built")
+
+    monkeypatch.setattr(BlockDiagonal, "as_dense", refuse)
+    monkeypatch.setattr(GSMatrix, "as_dense", refuse)
+    got = materialize_vjp(p, g)
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert np.array_equal(a, b)
 
 
 def test_vjp_rejects_wrong_shape():
