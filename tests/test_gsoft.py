@@ -18,6 +18,7 @@ from gsmat import (
     save_adapter,
     svd_small,
 )
+from gsmat import blockdiag
 from gsmat.blockdiag import BlockDiagonal, SkewGenerators, cayley_vjp
 from gsmat.gs import GSMatrix
 
@@ -296,6 +297,34 @@ def test_backward_builds_no_dense_array_and_calls_no_forward(monkeypatch):
         assert np.all(np.isfinite(_flat(grads)))
 
 
+def test_adapter_step_solves_each_cayley_stack_once(monkeypatch):
+    """forward + backward run one batched Cayley solve per factor of each params object and no inverse."""
+    rng = np.random.default_rng(14)
+    single = GSOFTAdapter(rng.standard_normal((16, 12)), OrthoGSParams.random(gsoft_spec(16, 4), rng, 0.4))
+    double = DoubleGSOFTAdapter(
+        rng.standard_normal((16, 8)),
+        OrthoGSParams.random(gsoft_spec(16, 4), rng, 0.4),
+        OrthoGSParams.random(gsoft_spec(8, 2), rng, 0.4),
+    )
+    calls = {"cayley": 0, "inv": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(blockdiag, "cayley", counted("cayley", blockdiag.cayley))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    for adapter, n_params in ((single, 1), (double, 2)):
+        calls.update(cayley=0, inv=0)
+        x = rng.standard_normal(16)
+        adapter.forward(x)
+        adapter.backward(x, rng.standard_normal(adapter.W0.shape[1]))
+        assert calls == {"cayley": 2 * n_params, "inv": 0}
+
+
 # fit_orthogonal_target and fit_blockdiag_target on gsoft_spec(16, 4), 6 steps at lr 0.05,
 # toward the Cayley target drawn from default_rng(seed); recorded from the dense-gradient trainer.
 _GOLDEN_LOSSES = {
@@ -340,6 +369,22 @@ def test_fit_orthogonal_target_converges():
 def test_fit_rejects_non_orthogonal_target():
     with pytest.raises(ValueError, match="not orthogonal"):
         fit_orthogonal_target(gsoft_spec(8, 2), np.ones((8, 8)), steps=10, lr=0.1)
+
+
+@pytest.mark.parametrize(
+    "fit, match",
+    [
+        (lambda: fit_orthogonal_target(gsoft_spec(16, 4), np.eye(1), 3, 0.1), "shape"),
+        (lambda: fit_orthogonal_target(gsoft_spec(16, 4), np.eye(16)[:, :8], 3, 0.1), "shape"),
+        (lambda: fit_blockdiag_target(16, 4, np.eye(1), 3, 0.1), "shape"),
+        (lambda: fit_blockdiag_target(16, 0, np.eye(16), 3, 0.1), "block size"),
+        (lambda: fit_blockdiag_target(16, -4, np.eye(16), 3, 0.1), "block size"),
+    ],
+    ids=["ortho-1x1", "ortho-16x8", "blockdiag-1x1", "blockdiag-b0", "blockdiag-b-4"],
+)
+def test_trainers_reject_bad_target_or_block_size(fit, match):
+    with pytest.raises(ValueError, match=match):
+        fit()
 
 
 def test_blockdiag_ablation_underfits_shuffled_target():

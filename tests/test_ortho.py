@@ -1,5 +1,9 @@
 """Orthogonal GS matrices: Cayley construction and re-orthogonalization."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from gsmat import (
 from gsmat.blockdiag import BlockDiagonal, SkewGenerators, cayley_vjp
 from gsmat.ortho import _factored_vjp
 
-from oracles import central_diff, random_perm, random_square_spec
+from oracles import cayley_vjp_inverse, central_diff, random_perm, random_square_spec
 
 
 def test_zero_generators_give_identity():
@@ -152,12 +156,53 @@ def test_factored_vjp_matches_dense_vjp_of_its_rank_n_gradient():
         for shape in [(), (1,), (5,)]:
             u = rng.standard_normal((spec.m, *shape))
             v = rng.standard_normal((spec.n, *shape))
-            got = _factored_vjp(p, materialize(p), u, v)
+            got = _factored_vjp(materialize(p), u, v)
             want = materialize_vjp(p, np.outer(u, v) if not shape else u @ v.T)
             for side_got, side_want in zip(got, want):
                 assert len(side_got) == len(side_want)
                 got_flat, want_flat = np.ravel(side_got), np.ravel(side_want)
                 assert np.max(np.abs(got_flat - want_flat)) <= 1e-12 * np.max(np.abs(want_flat))
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 10.0])
+def test_factored_vjp_matches_inverse_oracle(scale):
+    """The Q-form Cayley VJPs of the factored path against explicit inverses of I - K."""
+    rng = np.random.default_rng(41)
+    specs = [random_square_spec(rng, sizes=(12, 16, 24, 48)) for _ in range(10)] + [gsoft_spec(64, 8)]
+    for spec in specs:
+        p = OrthoGSParams.random(spec, rng, scale=scale)
+        gsm = materialize(p)
+        p_l, p_mid, p_r = (_perm_matrix(q.sigma) for q in (spec.P_L, spec.P, spec.P_R))
+        l, r = _block_diag(gsm.L.blocks), _block_diag(gsm.R.blocks)
+        u, v = rng.standard_normal((spec.m, 3)), rng.standard_normal((spec.n, 3))
+        g = u @ v.T
+        grad_l = p_l.T @ g @ (p_mid @ r @ p_r).T
+        grad_r = (p_l @ l @ p_mid).T @ g @ p_r.T
+        want = np.concatenate([
+            np.ravel(cayley_vjp_inverse(p.gen_L.gens, np.stack(_diag_blocks(grad_l, spec.b_L1)))),
+            np.ravel(cayley_vjp_inverse(p.gen_R.gens, np.stack(_diag_blocks(grad_r, spec.b_R1)))),
+        ])
+        got_l, got_r = _factored_vjp(gsm, u, v)
+        got = np.concatenate([np.ravel(got_l), np.ravel(got_r)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_materialize_builds_q_once_per_params_object():
+    rng = np.random.default_rng(43)
+    p = OrthoGSParams.random(gsoft_spec(16, 4), rng, scale=0.5)
+    q = materialize(p)
+    assert materialize(p) is q
+    moved = SkewGenerators(p.gen_L.gens + 0.1)
+    for other, same_gens in ((dataclasses.replace(p), True), (OrthoGSParams(p.spec, p.gen_L, p.gen_R), True),
+                             (dataclasses.replace(p, gen_L=moved), False),
+                             (pickle.loads(pickle.dumps(p)), True), (copy.deepcopy(p), True)):
+        q_other = materialize(other)
+        assert q_other is not q and materialize(other) is q_other
+        assert not other.gen_L.gens.flags.writeable and not q_other.L.stack.flags.writeable
+        assert np.array_equal(q_other.R.stack, q.R.stack)
+        assert np.array_equal(q_other.L.stack, q.L.stack) == same_gens
+        fresh = materialize(OrthoGSParams(p.spec, SkewGenerators(other.gen_L.gens), p.gen_R))
+        assert np.array_equal(q_other.L.stack, fresh.L.stack)
 
 
 def test_materialize_vjp_builds_no_dense_factor(monkeypatch):
